@@ -8,11 +8,11 @@ The package computes, entirely in exact arithmetic:
   special linear groups over even fields, and their direct products
   (`chartab.tables`),
 * zero-mass and unit-mass statistics of tables, rows, and power sequences,
-  with closed forms cross-checked against the explicit tables
-  (`chartab.stats`),
-* witness searches that, given a target level and a tolerance, produce a
-  concrete character or group whose statistic lands within the tolerance
-  (`chartab.witness`),
+  with closed forms cross-checked against the explicit tables, and
+  `compose`, the product rule for direct products (`chartab.stats`),
+* `find_witness`, which, given a statistic, a scope, a target level and a
+  tolerance, produces a concrete character or group whose statistic lands
+  within the tolerance (`chartab.witness`),
 * an independent permutation-group oracle that rebuilds tables from scratch
   by class-algebra eigenvector splitting modulo a prime (`chartab.oracle`).
 
@@ -46,6 +46,7 @@ from chartab.stats import (
     StatRecord,
     char_stats,
     closed_form_stats,
+    compose,
     group_stats,
     theta_master,
     u_power,
@@ -55,6 +56,7 @@ from chartab.witness import (
     Scope,
     Witness,
     WitnessQuery,
+    find_witness,
     verify_witness,
     witness_global,
     witness_local,
@@ -91,10 +93,12 @@ __all__ = [
     "classify_value",
     "closed_form_stats",
     "compare_tables",
+    "compose",
     "dihedral_table",
     "dixon_character_table",
     "enumerate_and_classify",
     "extraspecial2_table",
+    "find_witness",
     "group_stats",
     "m_invariant",
     "product_table",

@@ -28,13 +28,13 @@ from chartab.oracle import (
     dixon_character_table,
 )
 from chartab.stats import (
+    K_MAX_LIMIT,
     StatKind,
     char_stats,
     closed_form_stats,
+    compose,
     group_stats,
     render_decimal,
-    u_power,
-    z_sequence,
 )
 from chartab.tables import (
     CharacterTable,
@@ -49,14 +49,7 @@ from chartab.tables import (
     spec_to_json,
     validate_table,
 )
-from chartab.witness import (
-    Scope,
-    WitnessDomainError,
-    witness_global,
-    witness_local,
-    witness_theta_character,
-    witness_theta_group,
-)
+from chartab.witness import Scope, WitnessDomainError, find_witness
 
 _DOMAIN_ERRORS = (
     InvalidParameterError,
@@ -190,17 +183,7 @@ def _render_witness_pretty(w) -> str:
 
 
 def _cmd_witness(args) -> int:
-    kind = StatKind(args.stat)
-    scope = Scope(args.scope)
-    if kind is StatKind.THETA_ELEM:
-        if scope is Scope.CHARACTER:
-            w = witness_theta_character(args.target, args.eps)
-        else:
-            w = witness_theta_group(args.target, args.eps)
-    elif scope is Scope.CHARACTER:
-        w = witness_local(kind, args.target, args.eps)
-    else:
-        w = witness_global(kind, args.target, args.eps)
+    w = find_witness(StatKind(args.stat), Scope(args.scope), args.target, args.eps)
     if args.format == "json":
         _emit_json(w.to_json())
     else:
@@ -213,8 +196,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.kmax < 0:
-        raise InvalidParameterError(f"--kmax must be >= 0, got {args.kmax}")
+    if not 0 <= args.kmax <= K_MAX_LIMIT:
+        raise InvalidParameterError(f"--kmax must lie in [0, {K_MAX_LIMIT}], got {args.kmax}")
     kind = StatKind(args.stat)
     scope = Scope(args.scope)
     spec = args.family_params
@@ -234,20 +217,7 @@ def _cmd_scan(args) -> int:
         record = cf.character
     else:
         record = cf.group
-    element = kind.element_weighted
-    z_step = record.z_elem if element else record.z_class
-    u_base = record.u_elem if element else record.u_class
-    zs = z_sequence(Fraction(0), z_step, args.kmax)
-
-    rows = []
-    for k in range(args.kmax + 1):
-        if kind in (StatKind.Z_ELEM, StatKind.Z_CLASS):
-            value = zs[k]
-        elif kind in (StatKind.U_ELEM, StatKind.U_CLASS):
-            value = u_power(u_base, k)
-        else:
-            value = zs[k] + u_power(u_base, k)
-        rows.append((k, value))
+    rows = [(k, compose([(record, k)]).get(kind)) for k in range(args.kmax + 1)]
 
     if args.format == "json":
         _emit_json(
@@ -428,11 +398,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Deep exact values run past Python's int-to-string digit limit (3.11+).
+    # Lift it for the handler only: parsing stays limited, callers get theirs back.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        digit_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except _DOMAIN_ERRORS as exc:
         print(f"chartab: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

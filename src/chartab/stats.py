@@ -10,7 +10,8 @@ a Fraction computed from the exact value trichotomy; no floats.
 
 Closed forms are provided for the three generated families and are
 cross-checked against the generated tables in the test suite.  Two
-composition rules cover direct products:
+composition rules cover direct products, and `compose` is their one
+evaluator:
 
 * zero fractions always compose as 1 - z(a x b) = (1 - z(a))(1 - z(b)),
   because a product entry vanishes exactly when a factor does;
@@ -22,6 +23,7 @@ composition rules cover direct products:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -72,8 +74,16 @@ class StatRecord:
     z_class: Fraction
     u_elem: Fraction
     u_class: Fraction
-    theta_elem: Fraction
-    theta_class: Fraction
+
+    # theta = z + u is derived, and summed only when read: the sum of two
+    # deep product values costs big-integer gcds that z and u alone do not
+    @property
+    def theta_elem(self) -> Fraction:
+        return self.z_elem + self.u_elem
+
+    @property
+    def theta_class(self) -> Fraction:
+        return self.z_class + self.u_class
 
     def get(self, kind: StatKind) -> Fraction:
         return getattr(self, kind.field)
@@ -103,11 +113,7 @@ _KIND_FIELDS = {
 
 
 def _record(z_elem, z_class, u_elem, u_class) -> StatRecord:
-    z_elem, z_class = Fraction(z_elem), Fraction(z_class)
-    u_elem, u_class = Fraction(u_elem), Fraction(u_class)
-    return StatRecord(
-        z_elem, z_class, u_elem, u_class, z_elem + u_elem, z_class + u_class
-    )
+    return StatRecord(Fraction(z_elem), Fraction(z_class), Fraction(u_elem), Fraction(u_class))
 
 
 # classification results are cached by exact value; tables reuse a small
@@ -348,26 +354,41 @@ def _check_unit_interval(value: Fraction, name: str) -> Fraction:
     return value
 
 
-def z_sequence(z0: Rational, z_step: Rational, k_max: int) -> list[Fraction]:
-    """Iterate z(k+1) = z(k) + (1 - z(k)) * z_step, returning k_max + 1 terms.
+def compose(terms: Iterable[tuple[StatRecord, int]]) -> StatRecord:
+    """Statistics of a direct product of factors raised to powers.
 
-    The zero fraction of a product grows by exactly the step rule, so this
-    is the exact zero statistic of x^(k+1) given z(x) = z_step.  The
+    The product rule: 1 - z multiplies across factors, and so does u.  The
+    zero rule always holds; the unit rule carries the hypothesis `u_power`
+    documents.  The empty product is the trivial group: z = 0, u = 1.
+    """
+    nonzero_elem = nonzero_class = u_elem = u_class = Fraction(1)
+    for rec, power in terms:
+        if power < 0:
+            raise InvalidParameterError(f"powers must be >= 0, got {power}")
+        nonzero_elem *= (1 - rec.z_elem) ** power
+        nonzero_class *= (1 - rec.z_class) ** power
+        u_elem *= rec.u_elem**power
+        u_class *= rec.u_class**power
+    return StatRecord(1 - nonzero_elem, 1 - nonzero_class, u_elem, u_class)
+
+
+def z_sequence(z0: Rational, z_step: Rational, k_max: int) -> list[Fraction]:
+    """z(k) = 1 - (1 - z0)(1 - z_step)^k for k = 0..k_max, by `compose`.
+
+    This is the exact zero statistic of x * y^k given z(x) = z0 and
+    z(y) = z_step.  It obeys z(k+1) = z(k) + (1 - z(k)) * z_step, so the
     sequence is non-decreasing with consecutive gaps below z_step.
     """
     z = _check_unit_interval(z0, "z0")
     step = _check_unit_interval(z_step, "z_step")
     if not 0 <= k_max <= K_MAX_LIMIT:
         raise ValueError(f"k_max must lie in [0, {K_MAX_LIMIT}], got {k_max}")
-    out = [z]
-    for _ in range(k_max):
-        z = z + (1 - z) * step
-        out.append(z)
-    return out
+    start, factor = _record(z, z, 0, 0), _record(step, step, 0, 0)
+    return [compose([(start, 1), (factor, k)]).z_elem for k in range(k_max + 1)]
 
 
 def u_power(u0: Rational, k: int) -> Fraction:
-    """u0^k, the root-of-unity fraction of a k-fold product.
+    """u0^k, the root-of-unity fraction of a k-fold product, by `compose`.
 
     Caller asserts the multiplicativity hypothesis: every factor's nonzero
     values away from the identity lie on the unit circle.  That holds for
@@ -379,20 +400,17 @@ def u_power(u0: Rational, k: int) -> Fraction:
     u = _check_unit_interval(u0, "u0")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return u**k
+    return compose([(_record(0, 0, u, u), k)]).u_elem
 
 
 def theta_master(l: int, m: int, k: int) -> Fraction:
     """Element-weighted theta of the product group: dihedral parameter l
     times k copies of extraspecial parameter m.
 
-    Evaluates u(G) * u(H)^k + z(G) + (1 - z(G)) * z(H^k) exactly, with
-    z(H^k) taken from the z recurrence.  All factors are 2-groups, so the
-    u product rule applies.
+    All factors are 2-groups, so the u product rule applies.
     """
     if l < 1 or m < 1 or k < 0:
         raise InvalidParameterError(f"need l, m >= 1 and k >= 0, got {l}, {m}, {k}")
     g = closed_form_stats(Dihedral(l)).group
     h = closed_form_stats(Extraspecial2(m)).group
-    z_hk = z_sequence(0, h.z_elem, k)[-1]
-    return g.u_elem * h.u_elem**k + g.z_elem + (1 - g.z_elem) * z_hk
+    return compose([(g, 1), (h, k)]).theta_elem

@@ -1,43 +1,45 @@
 """Constructive witness search for the six statistics.
 
-Given a statistic, a target, and a positive epsilon, each search returns
-an explicit product expression (family parameters, a distinguished
-character when the statistic is character-local, and a product exponent
-k) whose exact statistic lies strictly within epsilon of the target.
+`find_witness` takes a statistic, a scope, a target and a positive epsilon
+and returns an explicit product expression (family parameters, a
+distinguished character at character scope, and a product exponent k)
+whose exact statistic lies strictly within epsilon of the target.
 
-All searches share one shape.  First the smallest family parameters are
-chosen whose closed-form statistics satisfy the strict inequalities that
-make the scan work: the value sequence must start next to one end of the
-target range and move toward the other end in steps smaller than
-epsilon, so it cannot jump over the epsilon band around any reachable
-target.  Then k is walked upward and the first index inside the band is
-returned.  Minimal parameters and first hits make the output a pure
-function of the query.
+Every witness is a base factor (absent for pure powers) times the k-th
+power of a step factor, so the product rule (1 - z and u both multiply
+across factors) gives its statistic as c0 + c1*r1^k + c2*r2^k.  The plan
+table `_PLANS` holds, per (statistic, scope), the base and step families,
+the rule that picks each parameter (the smallest value from a start that a
+predicate accepts), the first k, and the trail texts.  The rules make the
+sequence start next to one end of the target range and move toward the
+other in steps below epsilon, so the walk up from the first k cannot jump
+over the band; the first k inside it is returned.  Minimal parameters and
+first hits make the output a pure function of the query.
 
-Every sequence scanned here has the form c0 + c1*r1^k + c2*r2^k with
-rational constants, so the scanner keeps integer numerators and
-denominators and compares |value - target| < epsilon by cross
-multiplication; no per-step Fraction normalization, which matters when k
-runs into the thousands.  The exact Fraction is materialized once, at
-the accepted index.
+The scanner keeps integer numerators and denominators and compares
+|value - target| < epsilon by cross multiplication, with no per-step
+Fraction normalization; the exact Fraction is materialized once.
 
-`verify_witness` recomputes a witness two ways: replaying the closed
-forms through the product rules, and, when the expression is small
-enough to materialize, building the explicit product table and counting.
-Disagreement raises; both paths must reproduce the stored value exactly.
+`verify_witness` recomputes a witness two ways: replaying the closed forms
+through `chartab.stats.compose`, and, when the expression is small enough,
+building the explicit product table and counting.  Disagreement raises.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache, cached_property
 
 from chartab.stats import (
+    ClosedFormStats,
     StatKind,
     StatRecord,
     char_stats,
     closed_form_stats,
+    compose,
     group_stats,
     render_decimal,
 )
@@ -175,8 +177,8 @@ def _scan_sequence(
             return k, value
         k += 1
         if k > K_GUARD:
-            raise RuntimeError(
-                "witness scan exceeded the k guard; epsilon is too small"
+            raise WitnessDomainError(
+                f"witness scan passed the k guard {K_GUARD}; epsilon is too small"
             )
         pow1_n *= a
         pow1_d *= b
@@ -186,232 +188,237 @@ def _scan_sequence(
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_COUNTS_ZEROS = {StatKind.Z_ELEM, StatKind.Z_CLASS, StatKind.THETA_ELEM, StatKind.THETA_CLASS}
+_COUNTS_UNITS = {StatKind.U_ELEM, StatKind.U_CLASS, StatKind.THETA_ELEM, StatKind.THETA_CLASS}
 
 
-def _min_power_of_two(bound_times_eps: Fraction, epsilon: Fraction, start: int) -> int:
-    """Smallest exponent j >= start with 2^j * epsilon > bound_times_eps."""
-    j = start
-    while Fraction(2**j) * epsilon <= bound_times_eps:
-        j += 1
-        if j > PARAM_GUARD:
-            raise RuntimeError("parameter scan exceeded its guard")
-    return j
+def _smallest(start: int, accept: Callable[[int], bool]) -> int:
+    """Smallest p >= start with accept(p), trying at most PARAM_GUARD values."""
+    for p in range(start, start + PARAM_GUARD):
+        if accept(p):
+            return p
+    raise WitnessDomainError("parameter scan exceeded its guard; epsilon is too small")
+
+
+def _exceeds(power: int, bound: int, epsilon: Fraction) -> bool:
+    """2^power > bound/epsilon, decided on integers."""
+    return epsilon.numerator << power > bound * epsilon.denominator
+
+
+@dataclass(frozen=True)
+class _Pick:
+    """A plan factor at parameter p; its closed forms are computed on first use."""
+
+    spec: FamilySpec
+    p: int
+    scope: Scope
+    element: bool
+
+    @cached_property
+    def closed_form(self) -> ClosedFormStats:
+        return closed_form_stats(self.spec)
+
+    @property
+    def record(self) -> StatRecord:
+        cf = self.closed_form
+        return cf.character if self.scope is Scope.CHARACTER else cf.group
+
+    @property
+    def z(self) -> Fraction:
+        return self.record.z_elem if self.element else self.record.z_class
+
+    @property
+    def u(self) -> Fraction:
+        return self.record.u_elem if self.element else self.record.u_class
+
+    def factor(self, power: int) -> WitnessFactor:
+        name = self.closed_form.character_name if self.scope is Scope.CHARACTER else None
+        return WitnessFactor(self.spec, name, power)
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """A factor's family, and its parameter: the smallest p >= start whose
+    pick satisfies accept(pick, epsilon)."""
+
+    family: Callable[[int], FamilySpec]
+    start: int
+    accept: Callable[[_Pick, Fraction], bool]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Base (power 1, or absent) times step^k, k from k_start; trail(base,
+    step, k, hit) lists the (choice, rule, value) lines, hit the line of k."""
+
+    base: _Rule | None
+    step: _Rule
+    k_start: int
+    trail: Callable[[_Pick, _Pick, int, tuple], list[tuple[str, str, Fraction]]]
+
+
+_PLANS = {
+    # Element-weighted theta of a character: a planar dihedral character times a
+    # power of the degree-q PSL(2, q) character.  The base contributes
+    # theta = 1/2 + 2^-n (zeros only), and each PSL factor multiplies the nonzero
+    # fraction by exactly 1 - 1/q while contributing no roots of unity, so the
+    # sequence climbs from just above 1/2 toward 1 in steps below epsilon.
+    (StatKind.THETA_ELEM, Scope.CHARACTER): _Plan(
+        _Rule(Dihedral, 2, lambda b, eps: _exceeds(b.p, 1, eps)),
+        _Rule(Psl2Even, 1, lambda s, eps: _exceeds(s.p, 1, eps)), 0,
+        lambda b, s, k, hit: [
+            (f"n = {b.p}", "smallest n >= 2 with 2^n > 1/epsilon", Fraction(2**b.p)),
+            (f"r = {s.p}", "smallest r >= 1 with q = 2^r > 1/epsilon", Fraction(2**s.p)),
+            ("start", "value at k = 0 is 1/2 + 2^-n (zeros only, no unit values)", b.z),
+            ("step", "each factor scales the nonzero fraction by 1 - 1/q", s.z),
+            hit,
+        ],
+    ),
+    # The other character-scope plans are powers of one character, from k = 1 so
+    # that a witness is always a concrete character.  z statistics ride the zero
+    # recurrence of the degree-q PSL(2, q) character, u statistics the geometric
+    # decay of its unit fraction.
+    (StatKind.Z_ELEM, Scope.CHARACTER): _Plan(
+        None, _Rule(Psl2Even, 1, lambda s, eps: _exceeds(s.p, 1, eps)), 1,
+        lambda b, s, k, hit: [
+            (f"r = {s.p}", "smallest r >= 1 with q = 2^r > 1/epsilon", Fraction(2**s.p)),
+            ("step", "zero fraction of one factor, below epsilon", s.z),
+            hit,
+        ],
+    ),
+    (StatKind.U_ELEM, Scope.CHARACTER): _Plan(
+        None, _Rule(Psl2Even, 1, lambda s, eps: _exceeds(s.p, 2, eps)), 1,
+        lambda b, s, k, hit: [
+            (f"r = {s.p}", "smallest r >= 1 with q = 2^r > 2/epsilon", Fraction(2**s.p)),
+            ("ratio", "unit fraction of one factor; the gap to 1 stays below epsilon", s.u),
+            hit,
+        ],
+    ),
+    # Class-weighted theta rides the planar dihedral character, whose unit
+    # fraction is 0.  Its step is 3/(2^(n-1) + 3), so the inequality is on
+    # 2^(n-1), not 2^n.
+    (StatKind.THETA_CLASS, Scope.CHARACTER): _Plan(
+        None, _Rule(Dihedral, 2, lambda s, eps: _exceeds(s.p - 1, 3, eps)), 1,
+        lambda b, s, k, hit: [
+            (f"n = {s.p}", "smallest n >= 2 with 2^(n-1) > 3/epsilon",
+             Fraction(2 ** (s.p - 1))),
+            ("step", "class-weighted zero fraction of one factor; unit fraction is 0", s.z),
+            hit,
+        ],
+    ),
+    # Element-weighted theta of a group: a dihedral group times a power of an
+    # extraspecial group.  The dihedral parameter is the smallest whose unit
+    # fraction is below epsilon/2 while its zero fraction sits strictly inside
+    # (1/2, 1/2 + epsilon/2); the extraspecial parameter is the smallest whose
+    # zero fraction is below epsilon.
+    (StatKind.THETA_ELEM, Scope.GROUP): _Plan(
+        _Rule(Dihedral, 1, lambda g, eps: g.u < eps / 2 and 0 < 2 * g.z - 1 < eps),
+        _Rule(Extraspecial2, 1, lambda h, eps: h.z < eps), 0,
+        lambda b, s, k, hit: [
+            (f"l = {b.p}", "smallest l with u(G) < epsilon/2", b.u),
+            ("z(G) check", "1/2 < z(G) < 1/2 + epsilon/2 at the same l", b.z),
+            (f"m = {s.p}", "smallest m with z(H) < epsilon", s.z),
+            hit,
+            ("u part", "u(G) * u(H)^k at the accepted k",
+             compose([(b.record, 1), (s.record, k)]).u_elem),
+        ],
+    ),
+    # The other group-scope plans are powers of one 2-group, from k = 1.  z
+    # statistics and class-weighted theta ride a group whose per-factor fractions
+    # are small (theta needs its u and z fractions each below epsilon/2); u
+    # statistics ride an extraspecial group whose unit fraction is within
+    # epsilon of 1.
+    (StatKind.THETA_CLASS, Scope.GROUP): _Plan(
+        None, _Rule(Dihedral, 1, lambda g, eps: g.u < eps / 2 and g.z < eps / 2), 1,
+        lambda b, s, k, hit: [
+            (f"l = {s.p}", "smallest l with u(G) < epsilon/2", s.u),
+            ("z(G) check", "z(G) < epsilon/2 at the same l", s.z),
+            hit,
+        ],
+    ),
+    (StatKind.Z_ELEM, Scope.GROUP): _Plan(
+        None, _Rule(Extraspecial2, 1, lambda h, eps: h.z < eps), 1,
+        lambda b, s, k, hit: [(f"m = {s.p}", "smallest m with z(H) < epsilon", s.z), hit],
+    ),
+    (StatKind.U_ELEM, Scope.GROUP): _Plan(
+        None, _Rule(Extraspecial2, 1, lambda h, eps: 1 - h.u < eps), 1,
+        lambda b, s, k, hit: [(f"m = {s.p}", "smallest m with 1 - u(H) < epsilon", s.u), hit],
+    ),
+}
+# the class-weighted z and u statistics share the element-weighted plans
+_PLANS |= {
+    (cls, scope): _PLANS[elem, scope]
+    for elem, cls in ((StatKind.Z_ELEM, StatKind.Z_CLASS), (StatKind.U_ELEM, StatKind.U_CLASS))
+    for scope in Scope
+}
+
+
+def _scan_constants(kind: StatKind, base: _Pick | None, step: _Pick) -> tuple[Fraction, ...]:
+    """(c0, c1, r1, c2, r2) with value(k) = c0 + c1*r1^k + c2*r2^k.
+
+    The product rule for base * step^k: 1 - z multiplies and u multiplies,
+    an absent base counting as z = 0, u = 1.  A term whose coefficient is
+    zero keeps ratio 1, so the scanner powers nothing for it.
+    """
+    z_b, u_b = (_ZERO, _ONE) if base is None else (base.z, base.u)
+    c0, c1, r1, c2, r2 = _ZERO, _ZERO, _ONE, _ZERO, _ONE
+    if kind in _COUNTS_ZEROS:
+        c0, c1, r1 = _ONE, -(1 - z_b), 1 - step.z
+    if kind in _COUNTS_UNITS:
+        c2, r2 = u_b, step.u
+    return c0, c1, r1 if c1 else _ONE, c2, r2 if c2 else _ONE
+
+
+def find_witness(kind: StatKind, scope: Scope, target, epsilon) -> Witness:
+    """A product expression whose exact statistic lies within epsilon of target.
+
+    The plan for (kind, scope) names the base and step families; each
+    parameter is the smallest its rule accepts, and k is the first index
+    from the plan's k_start whose value lies in the band.
+    """
+    query = WitnessQuery(kind, scope, target, epsilon)
+    plan = _PLANS[kind, scope]
+    eps = query.epsilon
+
+    def pick(rule: _Rule) -> _Pick:
+        # cached, so the accepted candidate keeps the closed forms its rule read
+        at = cache(lambda p: _Pick(rule.family(p), p, scope, kind.element_weighted))
+        return at(_smallest(rule.start, lambda p: rule.accept(at(p), eps)))
+
+    base = None if plan.base is None else pick(plan.base)
+    step = pick(plan.step)
+    constants = _scan_constants(kind, base, step)
+    k, value = _scan_sequence(*constants, plan.k_start, query.target, eps)
+    hit = (f"k = {k}", "first k with |value - target| < epsilon", value)
+    trail = tuple(TrailStep(*line) for line in plan.trail(base, step, k, hit))
+    factors = [] if base is None else [base.factor(1)]
+    if k:
+        factors.append(step.factor(k))
+    return Witness(query, tuple(factors), k, value, trail)
 
 
 def witness_theta_character(target, epsilon) -> Witness:
-    """Character-scope theta: a planar dihedral character times a power of
-    the degree-q PSL(2, q) character.
-
-    The base character contributes theta = 1/2 + 2^-n (zeros only), and
-    each PSL factor multiplies the nonzero fraction by exactly 1 - 1/q
-    while contributing no roots of unity, so the sequence climbs from just
-    above 1/2 toward 1 in steps below epsilon.
-    """
-    query = WitnessQuery(StatKind.THETA_ELEM, Scope.CHARACTER, target, epsilon)
-    tgt, eps = query.target, query.epsilon
-    n = _min_power_of_two(_ONE, eps, 2)
-    r = _min_power_of_two(_ONE, eps, 1)
-    q = 2**r
-    base = closed_form_stats(Dihedral(n)).character
-    st = closed_form_stats(Psl2Even(r)).character
-    z0 = base.z_elem
-    step = st.z_elem
-    trail = [
-        TrailStep(f"n = {n}", "smallest n >= 2 with 2^n > 1/epsilon", Fraction(2**n)),
-        TrailStep(f"r = {r}", "smallest r >= 1 with q = 2^r > 1/epsilon", Fraction(q)),
-        TrailStep(
-            "start", "value at k = 0 is 1/2 + 2^-n (zeros only, no unit values)", z0
-        ),
-        TrailStep("step", "each factor scales the nonzero fraction by 1 - 1/q", step),
-    ]
-    k, value = _scan_sequence(_ONE, -(1 - z0), 1 - step, _ZERO, _ONE, 0, tgt, eps)
-    trail.append(TrailStep(f"k = {k}", "first k with |value - target| < epsilon", value))
-    factors = [WitnessFactor(Dihedral(n), "rot1", 1)]
-    if k:
-        factors.append(WitnessFactor(Psl2Even(r), "steinberg", k))
-    return Witness(query, tuple(factors), k, value, tuple(trail))
+    """Character-scope element-weighted theta; see `find_witness`."""
+    return find_witness(StatKind.THETA_ELEM, Scope.CHARACTER, target, epsilon)
 
 
 def witness_local(kind: StatKind, target, epsilon) -> Witness:
-    """Character-scope witnesses for the five non-theta statistics.
-
-    z statistics ride the zero recurrence on powers of the degree-q
-    PSL(2, q) character; u statistics ride the geometric decay of the same
-    character's unit fraction; class-weighted theta rides the planar
-    dihedral character, whose unit fraction is 0.  Powers start at k = 1:
-    a witness is always a concrete character.
-    """
+    """Character-scope witness for the five other statistics; see `find_witness`."""
     if kind is StatKind.THETA_ELEM:
-        raise WitnessDomainError(
-            "element-weighted theta uses witness_theta_character"
-        )
-    query = WitnessQuery(kind, Scope.CHARACTER, target, epsilon)
-    tgt, eps = query.target, query.epsilon
-    trail = []
-    if kind in (StatKind.Z_ELEM, StatKind.Z_CLASS):
-        r = _min_power_of_two(_ONE, eps, 1)
-        rec = closed_form_stats(Psl2Even(r)).character
-        step = rec.z_elem if kind is StatKind.Z_ELEM else rec.z_class
-        trail.append(
-            TrailStep(
-                f"r = {r}", "smallest r >= 1 with q = 2^r > 1/epsilon", Fraction(2**r)
-            )
-        )
-        trail.append(
-            TrailStep("step", "zero fraction of one factor, below epsilon", step)
-        )
-        k, value = _scan_sequence(_ONE, -_ONE, 1 - step, _ZERO, _ONE, 1, tgt, eps)
-        factors = (WitnessFactor(Psl2Even(r), "steinberg", k),)
-    elif kind in (StatKind.U_ELEM, StatKind.U_CLASS):
-        r = _min_power_of_two(Fraction(2), eps, 1)
-        rec = closed_form_stats(Psl2Even(r)).character
-        u1 = rec.u_elem if kind is StatKind.U_ELEM else rec.u_class
-        trail.append(
-            TrailStep(
-                f"r = {r}", "smallest r >= 1 with q = 2^r > 2/epsilon", Fraction(2**r)
-            )
-        )
-        trail.append(
-            TrailStep(
-                "ratio",
-                "unit fraction of one factor; the gap to 1 stays below epsilon",
-                u1,
-            )
-        )
-        k, value = _scan_sequence(_ZERO, _ONE, u1, _ZERO, _ONE, 1, tgt, eps)
-        factors = (WitnessFactor(Psl2Even(r), "steinberg", k),)
-    else:  # class-weighted theta; the step is 3/(2^(n-1) + 3), so the
-        # inequality is on 2^(n-1), not 2^n
-        n = _min_power_of_two(Fraction(3), eps, 1) + 1
-        rec = closed_form_stats(Dihedral(n)).character
-        step = rec.z_class
-        trail.append(
-            TrailStep(
-                f"n = {n}",
-                "smallest n >= 2 with 2^(n-1) > 3/epsilon",
-                Fraction(2 ** (n - 1)),
-            )
-        )
-        trail.append(
-            TrailStep(
-                "step",
-                "class-weighted zero fraction of one factor; unit fraction is 0",
-                step,
-            )
-        )
-        k, value = _scan_sequence(_ONE, -_ONE, 1 - step, _ZERO, _ONE, 1, tgt, eps)
-        factors = (WitnessFactor(Dihedral(n), "rot1", k),)
-    trail.append(TrailStep(f"k = {k}", "first k with |value - target| < epsilon", value))
-    return Witness(query, factors, k, value, tuple(trail))
+        raise WitnessDomainError("element-weighted theta uses witness_theta_character")
+    return find_witness(kind, Scope.CHARACTER, target, epsilon)
 
 
 def witness_theta_group(target, epsilon) -> Witness:
-    """Group-scope theta: a dihedral group times a power of an extraspecial
-    group.
-
-    The dihedral parameter is the smallest whose unit fraction is below
-    epsilon/2 while its zero fraction sits strictly inside
-    (1/2, 1/2 + epsilon/2); the extraspecial parameter is the smallest
-    whose zero fraction is below epsilon.  All factors are 2-groups, so
-    theta(k) = u(G)u(H)^k + 1 - (1 - z(G))(1 - z(H))^k exactly.
-    """
-    query = WitnessQuery(StatKind.THETA_ELEM, Scope.GROUP, target, epsilon)
-    tgt, eps = query.target, query.epsilon
-    half = Fraction(1, 2)
-    l = 1
-    while True:
-        g = closed_form_stats(Dihedral(l)).group
-        if g.u_elem < eps / 2 and half < g.z_elem < half + eps / 2:
-            break
-        l += 1
-        if l > PARAM_GUARD:
-            raise RuntimeError("parameter scan exceeded its guard")
-    m = 1
-    while closed_form_stats(Extraspecial2(m)).group.z_elem >= eps:
-        m += 1
-        if m > PARAM_GUARD:
-            raise RuntimeError("parameter scan exceeded its guard")
-    h = closed_form_stats(Extraspecial2(m)).group
-    trail = [
-        TrailStep(f"l = {l}", "smallest l with u(G) < epsilon/2", g.u_elem),
-        TrailStep(
-            "z(G) check", "1/2 < z(G) < 1/2 + epsilon/2 at the same l", g.z_elem
-        ),
-        TrailStep(f"m = {m}", "smallest m with z(H) < epsilon", h.z_elem),
-    ]
-    k, value = _scan_sequence(
-        _ONE, g.u_elem, h.u_elem, -(1 - g.z_elem), 1 - h.z_elem, 0, tgt, eps
-    )
-    u_term = g.u_elem * h.u_elem**k
-    trail.append(TrailStep(f"k = {k}", "first k with |value - target| < epsilon", value))
-    trail.append(TrailStep("u part", "u(G) * u(H)^k at the accepted k", u_term))
-    factors = [WitnessFactor(Dihedral(l), None, 1)]
-    if k:
-        factors.append(WitnessFactor(Extraspecial2(m), None, k))
-    return Witness(query, tuple(factors), k, value, tuple(trail))
+    """Group-scope element-weighted theta; see `find_witness`."""
+    return find_witness(StatKind.THETA_ELEM, Scope.GROUP, target, epsilon)
 
 
 def witness_global(kind: StatKind, target, epsilon) -> Witness:
-    """Group-scope witnesses for the five non-theta statistics, all powers
-    of a single 2-group family.
-
-    z statistics and class-weighted theta ride powers of one group whose
-    per-factor fractions are below epsilon (theta needs both the u and z
-    fractions small, each below epsilon/2); u statistics ride powers of an
-    extraspecial group whose unit fraction is within epsilon of 1.
-    """
+    """Group-scope witness for the five other statistics; see `find_witness`."""
     if kind is StatKind.THETA_ELEM:
         raise WitnessDomainError("element-weighted theta uses witness_theta_group")
-    query = WitnessQuery(kind, Scope.GROUP, target, epsilon)
-    tgt, eps = query.target, query.epsilon
-    trail = []
-    if kind is StatKind.THETA_CLASS:
-        l = 1
-        while True:
-            g = closed_form_stats(Dihedral(l)).group
-            if g.u_class < eps / 2 and g.z_class < eps / 2:
-                break
-            l += 1
-            if l > PARAM_GUARD:
-                raise RuntimeError("parameter scan exceeded its guard")
-        trail.append(
-            TrailStep(f"l = {l}", "smallest l with u(G) < epsilon/2", g.u_class)
-        )
-        trail.append(
-            TrailStep("z(G) check", "z(G) < epsilon/2 at the same l", g.z_class)
-        )
-        k, value = _scan_sequence(
-            _ONE, _ONE, g.u_class, -_ONE, 1 - g.z_class, 1, tgt, eps
-        )
-        factors = (WitnessFactor(Dihedral(l), None, k),)
-    elif kind in (StatKind.U_ELEM, StatKind.U_CLASS):
-        m = 1
-        while True:
-            rec = closed_form_stats(Extraspecial2(m)).group
-            u1 = rec.u_elem if kind is StatKind.U_ELEM else rec.u_class
-            if 1 - u1 < eps:
-                break
-            m += 1
-            if m > PARAM_GUARD:
-                raise RuntimeError("parameter scan exceeded its guard")
-        trail.append(TrailStep(f"m = {m}", "smallest m with 1 - u(H) < epsilon", u1))
-        k, value = _scan_sequence(_ZERO, _ONE, u1, _ZERO, _ONE, 1, tgt, eps)
-        factors = (WitnessFactor(Extraspecial2(m), None, k),)
-    else:  # zI / zII
-        m = 1
-        while True:
-            rec = closed_form_stats(Extraspecial2(m)).group
-            z1 = rec.z_elem if kind is StatKind.Z_ELEM else rec.z_class
-            if z1 < eps:
-                break
-            m += 1
-            if m > PARAM_GUARD:
-                raise RuntimeError("parameter scan exceeded its guard")
-        trail.append(TrailStep(f"m = {m}", "smallest m with z(H) < epsilon", z1))
-        k, value = _scan_sequence(_ONE, -_ONE, 1 - z1, _ZERO, _ONE, 1, tgt, eps)
-        factors = (WitnessFactor(Extraspecial2(m), None, k),)
-    trail.append(TrailStep(f"k = {k}", "first k with |value - target| < epsilon", value))
-    return Witness(query, factors, k, value, tuple(trail))
+    return find_witness(kind, Scope.GROUP, target, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -446,34 +453,23 @@ def verify_witness(
 ) -> VerificationReport:
     """Recompute a witness value two independent ways.
 
-    (a) Replay the closed forms through the product rules: the nonzero
-    fraction of the expression is the product of per-factor nonzero
-    fractions, the unit fraction is the product of per-factor unit
+    (a) Replay the closed forms through the product rule (`compose`): the
+    nonzero fraction of the expression is the product of per-factor
+    nonzero fractions, the unit fraction is the product of per-factor unit
     fractions (all witness factors satisfy the multiplicativity
     hypothesis).  (b) When the expression is small enough, build the
     explicit product table and count, entry by entry.  Any disagreement
     with the stored value raises; path (b) reports why when skipped.
     """
     kind = w.query.kind
-    element = kind.element_weighted
     if not w.factors:
         raise WitnessInconsistencyError("witness has no factors")
-    one_minus_z = _ONE
-    u_total = _ONE
+    terms = []
     for fct in w.factors:
         if fct.power < 1:
             raise WitnessInconsistencyError(f"factor power {fct.power} is not >= 1")
-        rec = _factor_record(fct)
-        z = rec.z_elem if element else rec.z_class
-        u = rec.u_elem if element else rec.u_class
-        one_minus_z *= (1 - z) ** fct.power
-        u_total *= u**fct.power
-    if kind in (StatKind.Z_ELEM, StatKind.Z_CLASS):
-        replay = 1 - one_minus_z
-    elif kind in (StatKind.U_ELEM, StatKind.U_CLASS):
-        replay = u_total
-    else:
-        replay = (1 - one_minus_z) + u_total
+        terms.append((_factor_record(fct), fct.power))
+    replay = compose(terms).get(kind)
     if replay != w.value:
         raise WitnessInconsistencyError(
             f"recurrence replay gives {replay}, witness records {w.value}"

@@ -1,10 +1,12 @@
 """Command-line behavior: exact output, exit codes, error paths."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from chartab import witness
 from chartab.cli import main
 from chartab.tables import CharacterTable, dihedral_table
 
@@ -147,6 +149,51 @@ def test_witness_rejects_out_of_range_theta(capsys):
     assert "[1/2, 1]" in err
 
 
+def test_witness_guards_are_domain_errors(capsys, monkeypatch):
+    # no parameter below the guard reaches 2^r > 10^4000
+    code, out, err = run(
+        capsys,
+        "witness", "--stat", "zI", "--scope", "character",
+        "--target", "1/2", "--eps", "1e-4000",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("chartab: ") and err.count("\n") == 1
+    assert "parameter scan exceeded its guard" in err
+    monkeypatch.setattr(witness, "K_GUARD", 3)
+    code, out, err = run(
+        capsys,
+        "witness", "--stat", "zI", "--scope", "group",
+        "--target", "1/2", "--eps", "1/100",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("chartab: ") and err.count("\n") == 1
+    assert "k guard 3" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string digit limit"
+)
+def test_witness_renders_past_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(
+        capsys,
+        "witness", "--stat", "zI", "--scope", "group",
+        "--target", "3/4", "--eps", "1/300",
+    )
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # the caller's limit is back
+    text = json.loads(out)["value"]
+    assert len(text) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        value = Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert abs(value - Fraction(3, 4)) < Fraction(1, 300)
+
+
 def test_witness_rejects_malformed_fraction(capsys):
     with pytest.raises(SystemExit) as exc:
         main(
@@ -216,6 +263,17 @@ def test_scan_rejects_negative_kmax(capsys):
     )
     assert code == 1
     assert "--kmax" in err
+
+
+def test_scan_rejects_kmax_past_limit(capsys):
+    code, out, err = run(
+        capsys,
+        "scan", "--stat", "zI", "--scope", "group",
+        "--family-params", "dihedral:2", "--kmax", "1000001",
+    )
+    assert code == 1
+    assert out == ""
+    assert "--kmax must lie in [0, 1000000]" in err
 
 
 def test_scan_rejects_group_u_for_psl2(capsys):

@@ -1,10 +1,12 @@
 """Witness searches: frozen small cases, band membership, minimality, tamper checks."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from chartab.cli import main
 from chartab.stats import StatKind, render_decimal
 from chartab.tables import Dihedral, Extraspecial2, Psl2Even
 from chartab.witness import (
@@ -117,6 +119,42 @@ def test_grid_hits_the_band(eps):
         assert abs(w.value - w.query.target) < w.query.epsilon
         assert w.trail, "every search explains itself"
         assert any(s.value == w.value for s in w.trail)
+
+
+# sha256 of the JSON and pretty stdout of `chartab witness` over the
+# targets of test_grid_hits_the_band at eps 1/7 and 1/25, per (stat, scope),
+# recorded before the four searches were folded into find_witness; trails
+# included, so any drift in parameters, k, values or wording shows here
+PARENT_DIGESTS = {
+    ("zI", "character"): "00914e55faa76c3d29884f39bdf6e51228da197ed75b50ab52c6bd18b1f9ea94",
+    ("zI", "group"): "176fc8bd7dde58cf00ee1de317fe3a359812a2d4c53de7090b6818d0c4aa24df",
+    ("zII", "character"): "34a341004f8bd4b5510d4cb123c1514b2cc8542e23679b39e76ec53d4cfa1ab7",
+    ("zII", "group"): "9bca00e1894fda1af8349b465cf8fb2e3134111bb288a348730ca00d8f2789b5",
+    ("uI", "character"): "cdbb59121c6deabfd0f5a5ddf88302ff133a0630bbdf0bc24f188e2ded591459",
+    ("uI", "group"): "5783375b4d8082f508b8241fb1e54f6cb476339bf93432756246fd19e2dfb082",
+    ("uII", "character"): "864952e6a767a80078b682efc9736c463a89aeb7b357cbb311b8ab77ce947636",
+    ("uII", "group"): "a89672f5fa6d9f8517efb6ba05acf85f32f2a3c155176329fb6214605f00cc4c",
+    ("theta", "character"): "b67a6d62d53f8d60076a53f9ca4d2a365a916f6ad553390fcdf8eaff408ca794",
+    ("theta", "group"): "0f9b18d737817bc4b085f97a8eed196619d49394fefda1ced30f73478fc7ae86",
+    ("thetaII", "character"): "d0b048e59e4fa3e10c0e1f52b755961ba2bf309e436f7d20d78b76bacaf55911",
+    ("thetaII", "group"): "224d0afc6969a67610f21d0e0378beadb91251c2e3c0225ee4c84d50a19748ea",
+}
+
+
+def test_outputs_match_parent(capsys):
+    got = {}
+    for stat, scope in PARENT_DIGESTS:
+        targets = ["1/2", "2/3", "9/10", "1"] if stat == "theta" else ["0", "1/3", "1/2", "1"]
+        digest = hashlib.sha256()
+        for eps in ("1/7", "1/25"):
+            for tgt in targets:
+                for fmt in ("json", "pretty"):
+                    argv = ["witness", "--stat", stat, "--scope", scope,
+                            "--target", tgt, "--eps", eps, "--format", fmt]
+                    assert main(argv) == 0
+                    digest.update(capsys.readouterr().out.encode())
+        got[stat, scope] = digest.hexdigest()
+    assert got == PARENT_DIGESTS
 
 
 def test_witness_powers_match_k():
