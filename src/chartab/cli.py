@@ -24,6 +24,7 @@ from chartab.exactnum import InvalidConductorError, NotAlgebraicIntegerError
 from chartab.oracle import (
     GroupTooLargeError,
     builtin_perm_group,
+    check_group_limit,
     compare_tables,
     dixon_character_table,
 )
@@ -46,6 +47,7 @@ from chartab.tables import (
     Psl2Even,
     TableTooLargeError,
     build_table,
+    spec_group_order,
     spec_to_json,
     validate_table,
 )
@@ -109,8 +111,9 @@ def _render_table_pretty(t: CharacterTable) -> str:
         ["size", *(str(c.size) for c in t.classes)],
         ["order", *(str(c.element_order) for c in t.classes)],
     ]
-    for name, row in zip(t.character_names, t.characters):
-        grid.append([name, *(str(v) for v in row)])
+    text = [str(v) for v in t.palette]
+    for name, row in zip(t.character_names, t.rows):
+        grid.append([name, *(text[i] for i in row)])
     widths = [max(len(line[i]) for line in grid) for i in range(len(head))]
     lines = [f"{t.group_name}, order {t.group_order}"]
     for line in grid:
@@ -255,9 +258,9 @@ def _dihedral_zero_counts(t: CharacterTable, n: int) -> str | None:
     match the closed forms, else a description of the first mismatch."""
     half = 2 ** (n - 1)
     for h in range(1, half):
-        row = t.characters[t.character_index(f"rot{h}")]
-        zero_elems = sum(c.size for c, v in zip(t.classes, row) if v.is_zero)
-        zero_cells = sum(1 for v in row if v.is_zero)
+        rec = char_stats(t, t.character_index(f"rot{h}"))
+        zero_elems = rec.z_elem * t.group_order
+        zero_cells = rec.z_class * t.num_classes
         two_adic = (h & -h).bit_length() - 1
         want_elems = 2 ** (two_adic + 1) + 2**n
         want_cells = 2**two_adic + 2
@@ -271,6 +274,8 @@ def _dihedral_zero_counts(t: CharacterTable, n: int) -> str | None:
 
 def _cmd_verify(args) -> int:
     spec = _family_spec(args.family, args.param)
+    # before anything is built: the realization alone can take gigabytes
+    check_group_limit(spec_group_order(spec))
     checks: list[tuple[str, bool, str | None]] = []
 
     table = build_table(spec)

@@ -263,12 +263,6 @@ class Cyclotomic:
             return Fraction(self.coeffs[0][1])
         raise ValueError(f"{self} is not rational")
 
-    def coeff(self, exponent: int):
-        for e, c in self.coeffs:
-            if e == exponent:
-                return Fraction(c)
-        return Fraction(0)
-
     def is_algebraic_integer(self) -> bool:
         """True when every power-basis coordinate is an integer.
 

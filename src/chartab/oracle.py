@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
-from chartab.exactnum import Cyclotomic, canonicalize
+from chartab.exactnum import canonicalize
 from chartab.tables import (
     CharacterTable,
     ClassInfo,
@@ -55,6 +55,12 @@ Perm = tuple[int, ...]
 
 class GroupTooLargeError(ValueError):
     """Group closure exceeded the element limit."""
+
+    def __init__(self, limit: int) -> None:
+        super().__init__(
+            f"group has more than {limit} elements; raise the limit "
+            f"argument or {GROUP_LIMIT_ENV} to enumerate it anyway"
+        )
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,14 @@ def _group_limit(limit: int | None) -> int:
     return int(os.environ.get(GROUP_LIMIT_ENV, DEFAULT_GROUP_LIMIT))
 
 
+def check_group_limit(order: int) -> None:
+    """Refuse a group of known order above the element limit, before any
+    permutation realization of it is built."""
+    limit = _group_limit(None)
+    if order > limit:
+        raise GroupTooLargeError(limit)
+
+
 def _enumerate_elements(group: PermGroup, limit: int) -> set[Perm]:
     identity = tuple(range(group.degree))
     seen = {identity}
@@ -178,10 +192,7 @@ def _enumerate_elements(group: PermGroup, limit: int) -> set[Perm]:
                 y = _mul(x, g)
                 if y not in seen:
                     if len(seen) >= limit:
-                        raise GroupTooLargeError(
-                            f"group has more than {limit} elements; raise the limit "
-                            f"argument or {GROUP_LIMIT_ENV} to enumerate it anyway"
-                        )
+                        raise GroupTooLargeError(limit)
                     seen.add(y)
                     fresh.append(y)
         frontier = fresh
@@ -502,12 +513,12 @@ def _try_prime(data: ClassData, mats, exponent: int, p: int) -> CharacterTable |
     classes = tuple(
         ClassInfo(f"c{k}", data.sizes[k], data.element_orders[k]) for k in range(r)
     )
-    return CharacterTable(
+    return CharacterTable.from_values(
         group_name=f"perm(deg={len(identity)}, order={data.group_order})",
         group_order=data.group_order,
         classes=classes,
         character_names=tuple(f"x{i}" for i in range(r)),
-        characters=tuple(tuple(values) for _, values in rows),
+        characters=[values for _, values in rows],
     )
 
 
@@ -717,10 +728,8 @@ def compare_tables(
         return fail(f"group orders differ: {a.group_order} vs {b.group_order}")
     if a.num_classes != b.num_classes:
         return fail(f"class counts differ: {a.num_classes} vs {b.num_classes}")
-    if len(a.characters) != len(b.characters):
-        return fail(
-            f"character counts differ: {len(a.characters)} vs {len(b.characters)}"
-        )
+    if len(a.rows) != len(b.rows):
+        return fail(f"character counts differ: {len(a.rows)} vs {len(b.rows)}")
 
     if match_element_orders:
         profile_a = sorted((c.size, c.element_order) for c in a.classes)
@@ -741,23 +750,14 @@ def compare_tables(
             f"degree multisets differ: {sorted(degrees_a)} vs {sorted(degrees_b)}"
         )
 
-    joint = 1
-    for table in (a, b):
-        for row in table.characters:
-            for v in row:
-                joint = lcm(joint, v.conductor)
-    embed_cache: dict[tuple, tuple] = {}
+    joint = lcm(*(v.conductor for v in a.palette + b.palette))
 
-    def joint_key(v: Cyclotomic) -> tuple:
-        k = v.key()
-        out = embed_cache.get(k)
-        if out is None:
-            out = v.embed(joint).key()
-            embed_cache[k] = out
-        return out
+    def joint_values(table: CharacterTable) -> list[list[tuple]]:
+        keys = [v.embed(joint).key() for v in table.palette]
+        return [[keys[i] for i in row] for row in table.rows]
 
-    vals_a = [[joint_key(v) for v in row] for row in a.characters]
-    vals_b = [[joint_key(v) for v in row] for row in b.characters]
+    vals_a = joint_values(a)
+    vals_b = joint_values(b)
     r = a.num_classes
     nrows = len(vals_a)
 

@@ -27,8 +27,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
+from math import gcd
 
-from chartab.exactnum import Cyclotomic, Rational, ValueClass, classify_value
+from chartab.exactnum import Rational, ValueClass, classify_value
 from chartab.tables import (
     CharacterTable,
     Dihedral,
@@ -116,37 +118,41 @@ def _record(z_elem, z_class, u_elem, u_class) -> StatRecord:
     return StatRecord(Fraction(z_elem), Fraction(z_class), Fraction(u_elem), Fraction(u_class))
 
 
-# classification results are cached by exact value; tables reuse a small
-# set of shared value objects, so this cache stays tiny
-_CLASSIFY_CACHE: dict[tuple, ValueClass] = {}
+def _stats(t: CharacterTable, rows, used) -> StatRecord:
+    """Statistics over some index rows of t, each row weighing the same.
 
-
-def _classify(v: Cyclotomic) -> ValueClass:
-    key = v.key()
-    got = _CLASSIFY_CACHE.get(key)
-    if got is None:
-        got = _CLASSIFY_CACHE[key] = classify_value(v)
-    return got
+    Each palette entry in `used`, which must cover the rows, is classified
+    once; a cell then counts with its class size.
+    """
+    zero = [False] * len(t.palette)
+    rou = [False] * len(t.palette)
+    for i in used:
+        cls = classify_value(t.palette[i])
+        zero[i] = cls is ValueClass.ZERO
+        rou[i] = cls is ValueClass.ROOT_OF_UNITY
+    sizes = [c.size for c in t.classes]
+    zero_elems = zero_cells = rou_elems = rou_cells = 0
+    for row in rows:
+        z = list(map(zero.__getitem__, row))
+        u = list(map(rou.__getitem__, row))
+        zero_elems += sum(compress(sizes, z))
+        zero_cells += sum(z)
+        rou_elems += sum(compress(sizes, u))
+        rou_cells += sum(u)
+    pair_total = t.group_order * len(rows)
+    cell_total = t.num_classes * len(rows)
+    return _record(
+        Fraction(zero_elems, pair_total),
+        Fraction(zero_cells, cell_total),
+        Fraction(rou_elems, pair_total),
+        Fraction(rou_cells, cell_total),
+    )
 
 
 def char_stats(t: CharacterTable, row: int) -> StatRecord:
     """Statistics of a single character (one table row)."""
-    values = t.characters[row]
-    zero_elems = zero_cells = rou_elems = rou_cells = 0
-    for info, v in zip(t.classes, values):
-        cls = _classify(v)
-        if cls is ValueClass.ZERO:
-            zero_elems += info.size
-            zero_cells += 1
-        elif cls is ValueClass.ROOT_OF_UNITY:
-            rou_elems += info.size
-            rou_cells += 1
-    return _record(
-        Fraction(zero_elems, t.group_order),
-        Fraction(zero_cells, t.num_classes),
-        Fraction(rou_elems, t.group_order),
-        Fraction(rou_cells, t.num_classes),
-    )
+    values = t.rows[row]
+    return _stats(t, [values], dict.fromkeys(values))
 
 
 def group_stats(t: CharacterTable) -> StatRecord:
@@ -157,26 +163,7 @@ def group_stats(t: CharacterTable) -> StatRecord:
     carries the same total weight, this equals the mean of `char_stats`
     over rows; the test suite checks that coincidence explicitly.
     """
-    zero_elems = zero_cells = rou_elems = rou_cells = 0
-    sizes = [c.size for c in t.classes]
-    for row in t.characters:
-        for size, v in zip(sizes, row):
-            cls = _classify(v)
-            if cls is ValueClass.ZERO:
-                zero_elems += size
-                zero_cells += 1
-            elif cls is ValueClass.ROOT_OF_UNITY:
-                rou_elems += size
-                rou_cells += 1
-    rows = len(t.characters)
-    pair_total = t.group_order * rows
-    cell_total = t.num_classes * rows
-    return _record(
-        Fraction(zero_elems, pair_total),
-        Fraction(zero_cells, cell_total),
-        Fraction(rou_elems, pair_total),
-        Fraction(rou_cells, cell_total),
-    )
+    return _stats(t, t.rows, range(len(t.palette)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +224,18 @@ def _steinberg_record(r: int) -> StatRecord:
     )
 
 
+def _order_three_pairs(c: int, n: int) -> int:
+    """How many (j, l) in 1..n x 1..n make l*j a nonzero exponent of order
+    3 mod c.
+
+    For each j, with m = c / gcd(j, c): c divides 3*l*j exactly when m
+    divides 3*l, and l*j vanishes mod c exactly when m divides l; so j
+    contributes floor(n / (m/3)) - floor(n / m) when 3 divides m, else 0.
+    """
+    ms = (c // gcd(j, c) for j in range(1, n + 1))
+    return sum(n // (m // 3) - n // m for m in ms if m % 3 == 0)
+
+
 def _psl2_group_record(r: int) -> StatRecord:
     """PSL(2, 2^r) statistics counted from the table's structure.
 
@@ -267,32 +266,22 @@ def _psl2_group_record(r: int) -> StatRecord:
     rou_cells += nsplit + nnonsplit
 
     # principal series (degree q+1): zero on the whole nonsplit block
-    for j in range(1, nsplit + 1):
-        zero_elems += nnonsplit * nonsplit_size
-        zero_cells += nnonsplit
-        rou_elems += inv_size
-        rou_cells += 1
-        for l in range(1, nsplit + 1):
-            e = l * j % (q - 1)
-            if e and 3 * e % (q - 1) == 0:
-                rou_elems += split_size
-                rou_cells += 1
+    hits = _order_three_pairs(q - 1, nsplit)
+    zero_elems += nsplit * nnonsplit * nonsplit_size
+    zero_cells += nsplit * nnonsplit
+    rou_elems += nsplit * inv_size + hits * split_size
+    rou_cells += nsplit + hits
 
     # discrete series (degree q-1): zero on the whole split block
-    for m in range(1, nnonsplit + 1):
-        zero_elems += nsplit * split_size
-        zero_cells += nsplit
-        rou_elems += inv_size
+    hits = _order_three_pairs(q + 1, nnonsplit)
+    zero_elems += nnonsplit * nsplit * split_size
+    zero_cells += nnonsplit * nsplit
+    rou_elems += nnonsplit * inv_size + hits * nonsplit_size
+    rou_cells += nnonsplit + hits
+    if q == 2:
+        # degree q-1 = 1: the identity value itself is a root of unity
+        rou_elems += 1
         rou_cells += 1
-        if q == 2:
-            # degree q-1 = 1: the identity value itself is a root of unity
-            rou_elems += 1
-            rou_cells += 1
-        for k in range(1, nnonsplit + 1):
-            e = m * k % (q + 1)
-            if e and 3 * e % (q + 1) == 0:
-                rou_elems += nonsplit_size
-                rou_cells += 1
 
     pair_total = order * ncls
     cell_total = ncls * ncls

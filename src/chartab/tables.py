@@ -1,9 +1,9 @@
 """Character tables for the supported group families.
 
 A `CharacterTable` is a plain immutable container: conjugacy classes (name,
-size, element order) and one row of exact `Cyclotomic` values per
-irreducible character.  Generators exist for three families plus direct
-products:
+size, element order), a palette of the table's distinct exact `Cyclotomic`
+values, and one row of palette indices per irreducible character.
+Generators exist for three families plus direct products:
 
 * ``dihedral_table(n)``        dihedral group of order ``2**(n+1)``
   (for ``n == 1`` this degenerates to the abelian group of order 4);
@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 from math import gcd, lcm
 
 from chartab.exactnum import Cyclotomic, canonicalize
@@ -44,7 +45,7 @@ class InvalidParameterError(ValueError):
 
 
 class TableTooLargeError(ValueError):
-    """Raised when a requested product table exceeds the class-count guard."""
+    """Raised when a requested table exceeds the class-count guard."""
 
 
 class MalformedTableError(ValueError):
@@ -60,11 +61,56 @@ class ClassInfo:
 
 @dataclass(frozen=True)
 class CharacterTable:
+    """A table stored as a palette of its distinct values plus index rows.
+
+    ``rows[i][j]`` is the palette index of character i on class j.  A table
+    has far fewer distinct values than cells, so readers work per palette
+    entry.  Construction accepts any value list with index rows into it and
+    brings both to canonical form: values equal by `Cyclotomic.key()` merge,
+    unused ones drop, and the rest are numbered in row-major
+    first-occurrence order.  Two tables with the same cells therefore
+    compare equal.
+    """
+
     group_name: str
     group_order: int
     classes: tuple[ClassInfo, ...]
     character_names: tuple[str, ...]
-    characters: tuple[tuple[Cyclotomic, ...], ...]
+    palette: tuple[Cyclotomic, ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        first: dict[tuple, int] = {}
+        merged = [first.setdefault(v.key(), i) for i, v in enumerate(self.palette)]
+        order: dict[int, int] = {}
+        for i in dict.fromkeys(chain.from_iterable(self.rows)):
+            order.setdefault(merged[i], len(order))
+        # every cell takes its index object from this list, so equal cells
+        # share one int instead of allocating one each
+        index = [order.get(m) for m in merged]
+        object.__setattr__(self, "palette", tuple(self.palette[m] for m in order))
+        object.__setattr__(
+            self, "rows", tuple(tuple(map(index.__getitem__, row)) for row in self.rows)
+        )
+
+    @staticmethod
+    def from_values(
+        group_name: str,
+        group_order: int,
+        classes: tuple[ClassInfo, ...],
+        character_names: tuple[str, ...],
+        characters,
+    ) -> "CharacterTable":
+        """A table from rows of values."""
+        ends = accumulate(len(row) for row in characters)
+        rows = tuple(range(end - len(row), end) for row, end in zip(characters, ends))
+        cells = tuple(chain.from_iterable(characters))
+        return CharacterTable(group_name, group_order, classes, character_names, cells, rows)
+
+    @property
+    def characters(self) -> tuple[tuple[Cyclotomic, ...], ...]:
+        """The value rows, rebuilt from the palette on every read."""
+        return tuple(tuple(map(self.palette.__getitem__, row)) for row in self.rows)
 
     @property
     def num_classes(self) -> int:
@@ -74,8 +120,8 @@ class CharacterTable:
     def degrees(self) -> tuple[int, ...]:
         # The identity class is first, so degrees are the first column.
         out = []
-        for row in self.characters:
-            d = row[0].as_rational()
+        for row in self.rows:
+            d = self.palette[row[0]].as_rational()
             if d.denominator != 1 or d <= 0:
                 raise MalformedTableError(f"identity value {d} is not a positive integer")
             out.append(int(d))
@@ -94,6 +140,7 @@ class CharacterTable:
         raise MalformedTableError(f"{self.group_name}: no character named {name!r}")
 
     def to_json(self) -> dict:
+        rendered = [v.to_json() for v in self.palette]
         return {
             "group": self.group_name,
             "order": self.group_order,
@@ -102,14 +149,14 @@ class CharacterTable:
                 for c in self.classes
             ],
             "characters": [
-                {"name": name, "values": [v.to_json() for v in row]}
-                for name, row in zip(self.character_names, self.characters)
+                {"name": name, "values": [rendered[i] for i in row]}
+                for name, row in zip(self.character_names, self.rows)
             ],
         }
 
     @staticmethod
     def from_json(doc: dict) -> "CharacterTable":
-        return CharacterTable(
+        return CharacterTable.from_values(
             group_name=doc["group"],
             group_order=int(doc["order"]),
             classes=tuple(
@@ -117,10 +164,10 @@ class CharacterTable:
                 for c in doc["classes"]
             ),
             character_names=tuple(ch["name"] for ch in doc["characters"]),
-            characters=tuple(
-                tuple(Cyclotomic.from_json(v) for v in ch["values"])
+            characters=[
+                [Cyclotomic.from_json(v) for v in ch["values"]]
                 for ch in doc["characters"]
-            ),
+            ],
         )
 
 
@@ -212,6 +259,12 @@ def spec_group_order(spec: FamilySpec) -> int:
 
 
 def build_table(spec: FamilySpec, class_limit: int | None = None) -> CharacterTable:
+    """The generated table of a family spec.
+
+    Every spec is checked against the class-count guard before anything is
+    built, so an oversized request fails fast instead of exhausting memory.
+    """
+    _check_class_count("table", spec_class_count(spec), class_limit)
     if isinstance(spec, Dihedral):
         return dihedral_table(spec.n)
     if isinstance(spec, Extraspecial2):
@@ -238,14 +291,29 @@ def _check_positive(value: int, name: str) -> None:
 
 
 def trivial_table() -> CharacterTable:
-    one = Cyclotomic.one()
     return CharacterTable(
         group_name="trivial",
         group_order=1,
         classes=(ClassInfo("1", 1, 1),),
         character_names=("trivial",),
-        characters=((one,),),
+        palette=(Cyclotomic.one(),),
+        rows=((0,),),
     )
+
+
+def _cosine_rows(conductor: int, sign: int, palette: list[Cyclotomic]) -> list[tuple[int, ...]]:
+    """Index rows ``m = 1..h`` over columns ``k = 1..h``, ``h = conductor // 2``,
+    of the values ``sign * (zeta**(m*k) + zeta**(-m*k))`` for an odd conductor
+    and ``zeta = zeta_conductor``; appends the ``h + 1`` distinct values, one
+    per exponent ``0..h``, to ``palette``."""
+    h = conductor // 2
+    slot = list(range(len(palette), len(palette) + h + 1))
+    palette.extend(
+        canonicalize(conductor, {e: sign, -e: sign} if e else {0: 2 * sign})
+        for e in range(h + 1)
+    )
+    at = slot + slot[:0:-1]  # per exponent mod conductor, -e as e
+    return [tuple(at[m * k % conductor] for k in range(1, h + 1)) for m in range(1, h + 1)]
 
 
 def dihedral_table(n: int) -> CharacterTable:
@@ -264,77 +332,46 @@ def dihedral_table(n: int) -> CharacterTable:
     (four singleton classes, four linear characters).
     """
     _check_positive(n, "n")
-    if n == 1:
-        one = Cyclotomic.one()
-        neg = Cyclotomic.from_rational(-1)
-        classes = (
-            ClassInfo("1", 1, 1),
-            ClassInfo("t", 1, 2),
-            ClassInfo("s", 1, 2),
-            ClassInfo("st", 1, 2),
-        )
-        rows = {
-            "trivial": (1, 1, 1, 1),
-            "sign_refl": (1, 1, -1, -1),
-            "sign_rot": (1, -1, 1, -1),
-            "sign_both": (1, -1, -1, 1),
-        }
-        return CharacterTable(
-            group_name="dihedral(1)",
-            group_order=4,
-            classes=classes,
-            character_names=tuple(rows),
-            characters=tuple(
-                tuple(one if v == 1 else neg for v in row) for row in rows.values()
-            ),
-        )
-
     order = 2 ** (n + 1)
     rot = 2**n  # order of the rotation subgroup
     half = 2 ** (n - 1)
-    classes = [ClassInfo("1", 1, 1), ClassInfo(f"t^{half}", 1, 2)]
+    classes = [ClassInfo("1", 1, 1), ClassInfo("t" if n == 1 else f"t^{half}", 1, 2)]
     for k in range(1, half):
         classes.append(ClassInfo(f"t^{k}", 2, rot // gcd(rot, k)))
     classes.append(ClassInfo("s", half, 2))
     classes.append(ClassInfo("st", half, 2))
 
-    # exponents of the rotation representative in class order, for the
-    # linear characters and the shared cosine-pair cache below
+    # exponents of the rotation representative in class order
     rot_exponents = [0, half] + list(range(1, half))
+    ONE, NEG = 0, 1
+    palette = [Cyclotomic.one(), Cyclotomic.from_rational(-1)]
 
-    one = Cyclotomic.one()
-    neg = Cyclotomic.from_rational(-1)
-
-    def linear(rot_sign: int, refl_sign: int) -> tuple[Cyclotomic, ...]:
-        row = [one if rot_sign**k == 1 else neg for k in rot_exponents]
-        row.append(one if refl_sign == 1 else neg)
-        row.append(one if refl_sign * rot_sign == 1 else neg)
+    def linear(rot_sign: int, refl_sign: int) -> tuple[int, ...]:
+        row = [ONE if rot_sign**k == 1 else NEG for k in rot_exponents]
+        row.append(ONE if refl_sign == 1 else NEG)
+        row.append(ONE if refl_sign * rot_sign == 1 else NEG)
         return tuple(row)
 
     names = ["trivial", "sign_refl", "sign_rot", "sign_both"]
     rows = [linear(1, 1), linear(1, -1), linear(-1, 1), linear(-1, -1)]
 
-    pair_cache: dict[int, Cyclotomic] = {}
-
-    def cosine_pair(e: int) -> Cyclotomic:
-        e %= rot
-        if e not in pair_cache:
-            pair_cache[e] = canonicalize(rot, {e: 1, -e: 1} if e else {0: 2})
-        return pair_cache[e]
-
-    zero = Cyclotomic.zero(rot)
+    # the cosine pairs zeta**e + zeta**-e for e = 0..half; e = rot / 4 is
+    # the zero the reflection classes carry
+    palette.extend(canonicalize(rot, {e: 1, -e: 1} if e else {0: 2}) for e in range(half + 1))
+    slot = list(range(2, half + 3))
+    at = slot + slot[half - 1 : 0 : -1]  # per exponent mod rot, -e as e
+    zero = at[rot // 4]
     for h in range(1, half):
         names.append(f"rot{h}")
-        rows.append(
-            tuple(cosine_pair(h * k) for k in rot_exponents) + (zero, zero)
-        )
+        rows.append(tuple(at[h * k % rot] for k in rot_exponents) + (zero, zero))
 
     return CharacterTable(
         group_name=f"dihedral({n})",
         group_order=order,
         classes=tuple(classes),
         character_names=tuple(names),
-        characters=tuple(rows),
+        palette=tuple(palette),
+        rows=tuple(rows),
     )
 
 
@@ -358,27 +395,27 @@ def extraspecial2_table(n: int) -> CharacterTable:
         q = bin((v >> n) & v).count("1") & 1
         classes.append(ClassInfo(f"e{v:0{dim}b}", 2, 4 if q else 2))
 
-    one = Cyclotomic.one()
-    neg = Cyclotomic.from_rational(-1)
-    zero = Cyclotomic.zero()
+    deg = Cyclotomic.from_rational(2**n)
+    palette = (Cyclotomic.one(), Cyclotomic.from_rational(-1), deg, -deg, Cyclotomic.zero())
+    ONE, NEG, DEG, NEG_DEG, ZERO = range(5)
     names = []
     rows = []
     for w in range(2**dim):
         names.append(f"lin{w:0{dim}b}")
-        row = [one, one]
-        for v in range(1, 2**dim):
-            row.append(neg if bin(w & v).count("1") & 1 else one)
-        rows.append(tuple(row))
+        rows.append(
+            (ONE, ONE)
+            + tuple(NEG if bin(w & v).count("1") & 1 else ONE for v in range(1, 2**dim))
+        )
     names.append("faithful")
-    deg = Cyclotomic.from_rational(2**n)
-    rows.append((deg, -deg) + (zero,) * (2**dim - 1))
+    rows.append((DEG, NEG_DEG) + (ZERO,) * (2**dim - 1))
 
     return CharacterTable(
         group_name=f"extraspecial2({n})",
         group_order=2 ** (2 * n + 1),
         classes=tuple(classes),
         character_names=tuple(names),
-        characters=tuple(rows),
+        palette=palette,
+        rows=tuple(rows),
     )
 
 
@@ -406,43 +443,34 @@ def psl2_even_table(r: int) -> CharacterTable:
     for m in range(1, n_nonsplit + 1):
         classes.append(ClassInfo(f"nonsplit{m}", q * (q - 1), (q + 1) // gcd(m, q + 1)))
 
-    one = Cyclotomic.one()
-    neg = Cyclotomic.from_rational(-1)
-    zero = Cyclotomic.zero()
-
-    def pair(conductor: int, e: int, sign: int) -> Cyclotomic:
-        e %= conductor
-        raw = {e: sign, -e: sign} if e else {0: 2 * sign}
-        return canonicalize(conductor, raw)
-
-    names = ["trivial", "steinberg"]
-    rows: list[tuple[Cyclotomic, ...]] = [
-        (one,) * (q + 1),
-        (Cyclotomic.from_rational(q), zero)
-        + (one,) * n_split
-        + (neg,) * n_nonsplit,
+    palette = [
+        Cyclotomic.one(),
+        Cyclotomic.from_rational(q),
+        Cyclotomic.zero(),
+        Cyclotomic.from_rational(-1),
+        Cyclotomic.from_rational(q + 1),
+        Cyclotomic.from_rational(q - 1),
     ]
-    for j in range(1, n_split + 1):
+    ONE, STEINBERG, ZERO, NEG, PRINCIPAL, DISCRETE = range(6)
+    names = ["trivial", "steinberg"]
+    rows = [
+        (ONE,) * (q + 1),
+        (STEINBERG, ZERO) + (ONE,) * n_split + (NEG,) * n_nonsplit,
+    ]
+    for j, block in enumerate(_cosine_rows(q - 1, 1, palette), 1):
         names.append(f"principal{j}")
-        rows.append(
-            (Cyclotomic.from_rational(q + 1), one)
-            + tuple(pair(q - 1, l * j, 1) for l in range(1, n_split + 1))
-            + (zero,) * n_nonsplit
-        )
-    for m in range(1, n_nonsplit + 1):
+        rows.append((PRINCIPAL, ONE) + block + (ZERO,) * n_nonsplit)
+    for m, block in enumerate(_cosine_rows(q + 1, -1, palette), 1):
         names.append(f"discrete{m}")
-        rows.append(
-            (Cyclotomic.from_rational(q - 1), neg)
-            + (zero,) * n_split
-            + tuple(pair(q + 1, m * k, -1) for k in range(1, n_nonsplit + 1))
-        )
+        rows.append((DISCRETE, NEG) + (ZERO,) * n_split + block)
 
     return CharacterTable(
         group_name=f"psl2even({r})",
         group_order=order,
         classes=tuple(classes),
         character_names=tuple(names),
-        characters=tuple(rows),
+        palette=tuple(palette),
+        rows=tuple(rows),
     )
 
 
@@ -450,10 +478,15 @@ def psl2_even_table(r: int) -> CharacterTable:
 # products
 
 
-def _class_limit(class_limit: int | None) -> int:
-    if class_limit is not None:
-        return class_limit
-    return int(os.environ.get("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT))
+def _check_class_count(what: str, count: int, class_limit: int | None) -> None:
+    limit = class_limit
+    if limit is None:
+        limit = int(os.environ.get("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT))
+    if count > limit:
+        raise TableTooLargeError(
+            f"{what} would have {count} classes, above the guard {limit}; "
+            f"use closed-form statistics and recurrences for {what}s this size"
+        )
 
 
 def product_table(
@@ -464,17 +497,11 @@ def product_table(
     Class sizes multiply, element orders take the lcm, and every product
     value is materialized exactly and re-classified by later consumers (no
     shortcut is taken for whether a product of two non-roots of unity is a
-    root of unity, because it sometimes is).  Guarded by a class-count
-    limit; oversized requests get an error pointing at the closed-form
-    statistics instead.
+    root of unity, because it sometimes is).  Each pair of palette entries
+    is multiplied once.  Guarded by a class-count limit; oversized requests
+    get an error pointing at the closed-form statistics instead.
     """
-    limit = _class_limit(class_limit)
-    count = a.num_classes * b.num_classes
-    if count > limit:
-        raise TableTooLargeError(
-            f"product would have {count} classes, above the guard {limit}; "
-            "use closed-form statistics and recurrences for products this size"
-        )
+    _check_class_count("product", a.num_classes * b.num_classes, class_limit)
 
     classes = tuple(
         ClassInfo(
@@ -486,28 +513,25 @@ def product_table(
         for cb in b.classes
     )
 
-    memo: dict[tuple, Cyclotomic] = {}
-
-    def mul(x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
-        k = (x.key(), y.key())
-        got = memo.get(k)
-        if got is None:
-            got = memo[k] = x * y
-        return got
-
-    names = []
-    rows = []
-    for na, ra in zip(a.character_names, a.characters):
-        for nb, rb in zip(b.character_names, b.characters):
-            names.append(f"{na}*{nb}")
-            rows.append(tuple(mul(x, y) for x in ra for y in rb))
+    # segments[j][x]: b's row j times a's entry x, as positions in the list
+    # of all palette products; every a row repeats it where it holds x
+    width = len(b.palette)
+    at = [list(range(x * width, (x + 1) * width)) for x in range(len(a.palette))]
+    segments = [[tuple(map(at_x.__getitem__, rb)) for at_x in at] for rb in b.rows]
 
     return CharacterTable(
         group_name=f"{a.group_name} x {b.group_name}",
         group_order=a.group_order * b.group_order,
         classes=classes,
-        character_names=tuple(names),
-        characters=tuple(rows),
+        character_names=tuple(
+            f"{na}*{nb}" for na in a.character_names for nb in b.character_names
+        ),
+        palette=tuple(x * y for x in a.palette for y in b.palette),
+        rows=tuple(
+            tuple(chain.from_iterable(map(seg.__getitem__, ra)))
+            for ra in a.rows
+            for seg in segments
+        ),
     )
 
 
@@ -537,11 +561,12 @@ def validate_table(t: CharacterTable) -> ValidationReport:
         return ValidationReport(False, msg)
 
     k = t.num_classes
-    if len(t.characters) != k:
-        return fail(f"{len(t.characters)} characters for {k} classes")
-    if len(t.character_names) != len(t.characters):
+    rows = t.rows
+    if len(rows) != k:
+        return fail(f"{len(rows)} characters for {k} classes")
+    if len(t.character_names) != len(rows):
         return fail("character_names and characters lengths differ")
-    if any(len(row) != k for row in t.characters):
+    if any(len(row) != k for row in rows):
         return fail("ragged character row")
     if t.classes[0].size != 1 or t.classes[0].element_order != 1:
         return fail("first class is not the identity class")
@@ -565,68 +590,54 @@ def validate_table(t: CharacterTable) -> ValidationReport:
             f"order is {t.group_order}"
         )
 
-    for name, row in zip(t.character_names, t.characters):
-        for c, v in zip(t.classes, row):
-            if not v.is_algebraic_integer():
+    palette = t.palette
+    integral = [v.is_algebraic_integer() for v in palette]
+    for name, row in zip(t.character_names, rows):
+        for c, i in zip(t.classes, row):
+            if not integral[i]:
                 return fail(f"entry ({name}, {c.name}) is not an algebraic integer")
 
-    # All sums are accumulated as raw power-basis coefficient maps in the
-    # joint conductor; one canonicalize per inner product instead of one
-    # Cyclotomic addition per term.
-    joint = 1
-    for row in t.characters:
-        for v in row:
-            joint = lcm(joint, v.conductor)
+    # Each inner product is accumulated as a raw power-basis coefficient map
+    # in the joint conductor: one canonicalize per inner product instead of
+    # one Cyclotomic addition per term.  terms[x, y] holds the coefficients
+    # of palette[x] * conj(palette[y]), built on first use.
+    joint = lcm(*(v.conductor for v in palette))
+    conj = [v.conjugate() for v in palette]
+    terms: dict[tuple[int, int], tuple] = {}
 
-    conj_memo: dict[tuple, Cyclotomic] = {}
-
-    def conj(v: Cyclotomic) -> Cyclotomic:
-        key = v.key()
-        got = conj_memo.get(key)
-        if got is None:
-            got = conj_memo[key] = v.conjugate()
-        return got
-
-    term_memo: dict[tuple, tuple] = {}
-
-    def term_coeffs(x: Cyclotomic, yc: Cyclotomic) -> tuple:
-        key = (x.key(), yc.key())
-        got = term_memo.get(key)
-        if got is None:
-            got = term_memo[key] = (x * yc).embed(joint).coeffs
-        return got
+    def inner(xs, ys, weights) -> Cyclotomic:
+        acc: dict[int, object] = {}
+        for s, x, y in zip(weights, xs, ys):
+            coeffs = terms.get((x, y))
+            if coeffs is None:
+                coeffs = terms[x, y] = (palette[x] * conj[y]).embed(joint).coeffs
+            for e, c in coeffs:
+                acc[e] = acc.get(e, 0) + s * c
+        return canonicalize(joint, acc)
 
     sizes = [c.size for c in t.classes]
-    conj_rows = [tuple(conj(v) for v in row) for row in t.characters]
-
-    for i in range(len(t.characters)):
-        for j in range(i, len(t.characters)):
-            acc: dict[int, object] = {}
-            for s, x, yc in zip(sizes, t.characters[i], conj_rows[j]):
-                for e, c in term_coeffs(x, yc):
-                    acc[e] = acc.get(e, 0) + s * c
+    names = t.character_names
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            got = inner(rows[i], rows[j], sizes)
             expect = t.group_order if i == j else 0
-            if canonicalize(joint, acc) != expect:
+            if got != expect:
                 return fail(
-                    "row orthogonality "
-                    f"({t.character_names[i]}, {t.character_names[j]}): "
-                    f"got {canonicalize(joint, acc)}, expected {expect}"
+                    f"row orthogonality ({names[i]}, {names[j]}): "
+                    f"got {got}, expected {expect}"
                 )
 
+    columns = list(zip(*rows))
+    ones = [1] * len(rows)
     for ci in range(k):
         for cj in range(ci, k):
-            acc = {}
-            for row, crow in zip(t.characters, conj_rows):
-                for e, c in term_coeffs(row[ci], crow[cj]):
-                    acc[e] = acc.get(e, 0) + c
-            expect_col = (
-                Fraction(t.group_order, sizes[ci]) if ci == cj else Fraction(0)
-            )
-            if canonicalize(joint, acc) != expect_col:
+            got = inner(columns[ci], columns[cj], ones)
+            expect_col = Fraction(t.group_order, sizes[ci]) if ci == cj else Fraction(0)
+            if got != expect_col:
                 return fail(
                     "column orthogonality "
                     f"({t.classes[ci].name}, {t.classes[cj].name}): "
-                    f"got {canonicalize(joint, acc)}, expected {expect_col}"
+                    f"got {got}, expected {expect_col}"
                 )
 
     return ValidationReport(True)

@@ -1,12 +1,13 @@
 """Command-line behavior: exact output, exit codes, error paths."""
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
 
 import pytest
 
-from chartab import witness
+from chartab import oracle, witness
 from chartab.cli import main
 from chartab.tables import CharacterTable, dihedral_table
 
@@ -349,3 +350,79 @@ def test_verify_extraspecial(capsys):
     code, out, _ = run(capsys, "verify", "extraspecial2", "1")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_checks_the_group_order_first(capsys, monkeypatch):
+    # order 2^36 - 2^12: past the limit before any permutation is built
+    def refuse(r):
+        raise AssertionError("permutation realization built past the oracle limit")
+
+    monkeypatch.setattr(oracle, "_psl2_perm_group", refuse)
+    monkeypatch.delenv("CHARTAB_ORACLE_LIMIT", raising=False)
+    code, out, err = run(capsys, "verify", "psl2even", "12")
+    assert code == 1
+    assert out == ""
+    assert err == "chartab: group has more than 200000 elements; raise the limit " \
+        "argument or CHARTAB_ORACLE_LIMIT to enumerate it anyway\n"
+
+
+def test_table_build_is_class_guarded(capsys, monkeypatch):
+    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "10")
+    code, out, err = run(capsys, "table", "dihedral", "5")
+    assert code == 1
+    assert out == ""
+    assert "above the guard 10" in err
+    # 2^25 + 3 classes: refused before anything is allocated
+    monkeypatch.delenv("CHARTAB_CLASS_LIMIT")
+    code, out, err = run(capsys, "table", "dihedral", "26")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("chartab: table would have 33554435 classes")
+    assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# byte identity across representation changes
+
+# sha256 of the concatenated stdout of `table`, `stats` (group, then the
+# distinguished character) and `verify` (where it runs in under a second),
+# each in json then pretty, recorded before tables were stored as palettes
+TABLE_OUTPUT_DIGESTS = {
+    ("dihedral", 1): "8075895cae1769a34971dfd44be4c1e66529b1d867fab187b55df27af2cb6d88",
+    ("dihedral", 2): "8d0dcf182c16a2809acead5009409b37c6f59dd1f92ce575f2814ff22b2a1605",
+    ("dihedral", 3): "3bfd3676fa569b915e4af5ee364d95a4ddd2e4f0db9079487b40379249716dd4",
+    ("dihedral", 4): "1d0641d2a962200f532dafca18548ae9005e39e4ab16c35995f04374b5585162",
+    ("dihedral", 5): "8a1ea763556429a948a50e807a617656b985a1ac8580a183ca46e2d40fbada81",
+    ("dihedral", 6): "888c622469af77dea80bc1d43bc48f68bf5362eebe7cafca655250dac76d3562",
+    ("extraspecial2", 1): "3de1508fff65e86f6cd6e832e881856a58005a17794164708d234331f0274bbf",
+    ("extraspecial2", 2): "d9fd9157253f279a2c595ff3fab7b1c0f5256d2ff845d3d32988e29842f7a218",
+    ("extraspecial2", 3): "48d968c4befb1a682f064f861fd2f431b5b08feb925783ea677fa17838267c8b",
+    ("psl2even", 1): "c68210415a7ea13037f2ae201917836c5a008469ce0e83742541e19a63274219",
+    ("psl2even", 2): "22301d1d94d24b4bbb597a4f0e5779ed40ef54f7462427e9b9b38506904f88c8",
+    ("psl2even", 3): "13f3a4ab63872c365e6ef62861e83bd04116dae058a7345f72a1b84691476c4c",
+    ("psl2even", 4): "e104340bcba5f0d046df776d8166dde29f9f529b1679787064f3d532879c5396",
+    ("psl2even", 5): "9a08ac106aafbf9a8be7e0a261171db765fdfb122b8ce7ab88bd9999740b4a72",
+}
+FAST_VERIFY = {
+    ("dihedral", 1), ("dihedral", 2), ("dihedral", 3), ("dihedral", 4), ("dihedral", 5),
+    ("extraspecial2", 1), ("extraspecial2", 2),
+    ("psl2even", 1), ("psl2even", 2), ("psl2even", 3),
+}
+DISTINGUISHED = {"dihedral": "rot1", "extraspecial2": "faithful", "psl2even": "steinberg"}
+
+
+def test_table_outputs_match_recorded_digests(capsys):
+    got = {}
+    for family, param in TABLE_OUTPUT_DIGESTS:
+        commands = [["table", family, str(param)], ["stats", family, str(param)]]
+        if (family, param) != ("dihedral", 1):  # abelian: no distinguished character
+            commands.append(["stats", family, str(param), "--char", DISTINGUISHED[family]])
+        if (family, param) in FAST_VERIFY:
+            commands.append(["verify", family, str(param)])
+        digest = hashlib.sha256()
+        for argv in commands:
+            for fmt in ("json", "pretty"):
+                assert main([*argv, "--format", fmt]) == 0
+                digest.update(capsys.readouterr().out.encode())
+        got[family, param] = digest.hexdigest()
+    assert got == TABLE_OUTPUT_DIGESTS

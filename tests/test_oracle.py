@@ -164,7 +164,7 @@ def shuffled(t: CharacterTable) -> CharacterTable:
     k = t.num_classes
     class_perm = [0] + [1 + (i + 1) % (k - 1) for i in range(k - 1)]
     row_perm = [(i + 2) % len(t.characters) for i in range(len(t.characters))]
-    return CharacterTable(
+    return CharacterTable.from_values(
         group_name="shuffled",
         group_order=t.group_order,
         classes=tuple(t.classes[i] for i in class_perm),
@@ -213,13 +213,13 @@ def test_compare_reports_structural_mismatches():
     result = compare_tables(d16, klein_sq)  # both order 16
     assert "class counts differ" in result.reason
 
-    fewer_rows = CharacterTable(
+    fewer_rows = CharacterTable.from_values(
         d8.group_name, d8.group_order, d8.classes,
         d8.character_names[:-1], d8.characters[:-1],
     )
     assert "character counts differ" in compare_tables(d8, fewer_rows).reason
 
-    flattened = CharacterTable(
+    flattened = CharacterTable.from_values(
         d8.group_name, d8.group_order, d8.classes,
         d8.character_names, d8.characters[:-1] + (d8.characters[0],),
     )
@@ -237,7 +237,7 @@ def test_compare_detects_value_disagreement():
     row = list(rows[x])
     row[i], row[j] = row[j], row[i]
     rows[x] = tuple(row)
-    tampered = CharacterTable(
+    tampered = CharacterTable.from_values(
         d8.group_name, d8.group_order, d8.classes, d8.character_names, tuple(rows)
     )
     result = compare_tables(d8, tampered)

@@ -62,6 +62,61 @@ def test_psl2_closed_form_matches_table(r):
     assert cf.character == char_stats(t, t.character_index("steinberg"))
 
 
+def _psl2_group_counts_by_loops(r):
+    """Reference for the PSL(2, 2^r) group record: the torus pairs counted
+    one by one, a pair zeta^e + zeta^(-e) (odd conductor) being a root of
+    unity exactly when e has order 3."""
+    q = 2**r
+    order, ncls = q**3 - q, q + 1
+    nsplit, nnonsplit = (q - 2) // 2, q // 2
+    split_size, nonsplit_size, inv_size = q * (q + 1), q * (q - 1), q * q - 1
+    zero_elems = zero_cells = rou_elems = rou_cells = 0
+    rou_elems += order
+    rou_cells += ncls
+    zero_elems += inv_size
+    zero_cells += 1
+    rou_elems += nsplit * split_size + nnonsplit * nonsplit_size
+    rou_cells += nsplit + nnonsplit
+    for j in range(1, nsplit + 1):
+        zero_elems += nnonsplit * nonsplit_size
+        zero_cells += nnonsplit
+        rou_elems += inv_size
+        rou_cells += 1
+        for l in range(1, nsplit + 1):
+            e = l * j % (q - 1)
+            if e and 3 * e % (q - 1) == 0:
+                rou_elems += split_size
+                rou_cells += 1
+    for m in range(1, nnonsplit + 1):
+        zero_elems += nsplit * split_size
+        zero_cells += nsplit
+        rou_elems += inv_size
+        rou_cells += 1
+        if q == 2:
+            rou_elems += 1
+            rou_cells += 1
+        for k in range(1, nnonsplit + 1):
+            e = m * k % (q + 1)
+            if e and 3 * e % (q + 1) == 0:
+                rou_elems += nonsplit_size
+                rou_cells += 1
+    pair_total, cell_total = order * ncls, ncls * ncls
+    return (
+        Fraction(zero_elems, pair_total),
+        Fraction(zero_cells, cell_total),
+        Fraction(rou_elems, pair_total),
+        Fraction(rou_cells, cell_total),
+    )
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_psl2_group_record_matches_pair_by_pair_count(r):
+    rec = closed_form_stats(Psl2Even(r)).group
+    assert (rec.z_elem, rec.z_class, rec.u_elem, rec.u_class) == (
+        _psl2_group_counts_by_loops(r)
+    )
+
+
 def test_steinberg_frozen_values():
     rec = closed_form_stats(Psl2Even(2)).character
     assert rec.z_elem == Fraction(1, 4)

@@ -2,7 +2,11 @@
 
 import pytest
 
-from chartab.exactnum import Cyclotomic, canonicalize
+import chartab.stats
+import chartab.tables
+from chartab.exactnum import Cyclotomic, canonicalize, classify_value
+from chartab.oracle import builtin_perm_group, dixon_character_table
+from chartab.stats import char_stats, group_stats
 from chartab.tables import (
     CharacterTable,
     ClassInfo,
@@ -206,6 +210,21 @@ def test_product_class_limit_env(monkeypatch):
     assert product_table(a, a, class_limit=25).num_classes == 25
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [Dihedral(5), Extraspecial2(2), Psl2Even(4), Product((Dihedral(2), Dihedral(2)))],
+    ids=repr,
+)
+def test_build_table_class_limit_covers_every_spec(spec, monkeypatch):
+    with pytest.raises(TableTooLargeError) as exc:
+        build_table(spec, class_limit=10)
+    assert f"{spec_class_count(spec)} classes" in str(exc.value)
+    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "10")
+    with pytest.raises(TableTooLargeError):
+        build_table(spec)
+    assert build_table(spec, class_limit=spec_class_count(spec)).num_classes == spec_class_count(spec)
+
+
 # ---------------------------------------------------------------------------
 # specs and dispatch
 
@@ -270,7 +289,7 @@ def perturbed(t: CharacterTable, **overrides) -> CharacterTable:
         "characters": t.characters,
     }
     base.update(overrides)
-    return CharacterTable(**base)
+    return CharacterTable.from_values(**base)
 
 
 def test_validate_catches_wrong_order():
@@ -332,3 +351,93 @@ def test_validate_catches_shape_problems():
     )
     assert not report.ok
     assert "ragged" in report.failure
+
+
+# ---------------------------------------------------------------------------
+# palette representation
+
+
+def _from_values(t: CharacterTable) -> CharacterTable:
+    return CharacterTable.from_values(
+        t.group_name, t.group_order, t.classes, t.character_names, t.characters
+    )
+
+
+REPRESENTED = {
+    "dihedral1": lambda: dihedral_table(1),
+    "dihedral2": lambda: dihedral_table(2),
+    "dihedral6": lambda: dihedral_table(6),
+    "extraspecial2": lambda: extraspecial2_table(2),
+    "psl2q2": lambda: psl2_even_table(1),
+    "psl2q4": lambda: psl2_even_table(2),
+    "psl2q16": lambda: psl2_even_table(4),
+    "psl2q64": lambda: psl2_even_table(6),
+    "product": lambda: product_table(dihedral_table(3), psl2_even_table(2)),
+    "product3": lambda: build_table(Product((Psl2Even(3), Extraspecial2(1), Dihedral(2)))),
+    "oracle_dihedral3": lambda: dixon_character_table(builtin_perm_group(Dihedral(3))),
+    "oracle_psl2q4": lambda: dixon_character_table(builtin_perm_group(Psl2Even(2))),
+    "json_psl2q16": lambda: CharacterTable.from_json(psl2_even_table(4).to_json()),
+    "json_product": lambda: CharacterTable.from_json(
+        product_table(dihedral_table(2), extraspecial2_table(1)).to_json()
+    ),
+}
+
+
+@pytest.mark.parametrize("make", REPRESENTED.values(), ids=REPRESENTED.keys())
+def test_palette_is_canonical(make):
+    t = make()
+    keys = [v.key() for v in t.palette]
+    assert len(set(keys)) == len(keys)
+    assert all(len(row) == t.num_classes for row in t.rows)
+    assert all(0 <= i < len(t.palette) for row in t.rows for i in row)
+    # every entry is used, and entries are numbered in row-major first occurrence
+    first_seen = dict.fromkeys(i for row in t.rows for i in row)
+    assert list(first_seen) == list(range(len(t.palette)))
+    # the value rows intern back to the same palette and index rows
+    again = _from_values(t)
+    assert [v.key() for v in again.palette] == keys
+    assert again.rows == t.rows
+    assert again == t
+
+
+@pytest.mark.parametrize("make", REPRESENTED.values(), ids=REPRESENTED.keys())
+def test_group_stats_classifies_each_palette_entry_once(make, monkeypatch):
+    t = make()
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return classify_value(v)
+
+    monkeypatch.setattr(chartab.stats, "classify_value", counting)
+    group_stats(t)
+    assert len(calls) <= len(t.palette)
+    calls.clear()
+    char_stats(t, len(t.rows) - 1)
+    assert len(calls) <= len(set(t.rows[-1]))
+
+
+@pytest.mark.parametrize("build", [dihedral_table, psl2_even_table])
+def test_generators_build_each_value_once(build, monkeypatch):
+    calls = []
+
+    def counting(conductor, coeffs):
+        calls.append(conductor)
+        return canonicalize(conductor, coeffs)
+
+    monkeypatch.setattr(chartab.tables, "canonicalize", counting)
+    t = build(7)
+    assert 0 < len(calls) <= len(t.palette)
+
+
+
+def test_constructor_merges_equal_values_and_drops_unused():
+    one, neg = Cyclotomic.one(), Cyclotomic.from_rational(-1)
+    t = CharacterTable(
+        "c2", 2, (ClassInfo("1", 1, 1), ClassInfo("g", 1, 2)), ("trivial", "sign"),
+        palette=(Cyclotomic.zero(), neg, one, Cyclotomic.one()),
+        rows=((2, 3), (3, 1)),
+    )
+    assert [v.key() for v in t.palette] == [one.key(), neg.key()]
+    assert t.rows == ((0, 0), (0, 1))
+    assert validate_table(t).ok
