@@ -17,9 +17,16 @@ unity (each multiplicity is a non-negative integer below p, so residues
 determine them exactly).  A prime that fails any internal consistency
 check is abandoned for the next candidate.
 
-Costs are polynomial but steep: memory grows with the cube of the class
-count and enumeration with |G| times the class count, hence the hard
-element limit.
+Costs: enumeration and the structure constants take |G| times the class
+count r in permutation products, hence the hard element limit.  Each
+class matrix is kept as its nonzero entries only (about r of its r^2
+entries on the 2-groups).  An eigenspace split of a d-dimensional
+subspace reads the eigenvalues off the characteristic polynomial of the
+d x d restriction (O(d^3), then O(p d) to find the roots in F_p) and
+runs one kernel per eigenvalue.  The lift runs once per conjugacy class
+of cyclic subgroups, as a transform of length o = the order of its
+generator, O(o^2) per character, instead of one transform of length e
+per class.
 
 `compare_tables` decides whether two tables differ only by relabeling of
 classes and characters, which is the honest notion of equality between a
@@ -316,46 +323,112 @@ def _kernel(mat: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
+def _charpoly(mat: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial of a square matrix mod p, lowest
+    coefficient first.
+
+    The matrix is brought to upper Hessenberg form by similarity
+    transforms, and the polynomial follows from the Hessenberg recurrence:
+    O(d^3) operations, deterministic.
+    """
+    d = len(mat)
+    h = [[x % p for x in row] for row in mat]
+    for m in range(1, d - 1):
+        i = next((i for i in range(m, d) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        inv = pow(h[m][m - 1], p - 2, p)
+        for i in range(m + 1, d):
+            u = h[i][m - 1] * inv % p
+            if not u:
+                continue
+            # row_i -= u row_m, then column_m += u column_i keeps similarity
+            h[i] = [(x - u * y) % p for x, y in zip(h[i], h[m])]
+            for row in h:
+                row[m] = (row[m] + u * row[i]) % p
+    # polys[m] is the characteristic polynomial of the leading m x m block
+    polys = [[1]]
+    for m in range(d):
+        poly = [0] + polys[m]
+        for t, c in enumerate(polys[m]):
+            poly[t] = (poly[t] - h[m][m] * c) % p
+        chain = 1
+        for i in range(1, m + 1):
+            chain = chain * h[m - i + 1][m - i] % p
+            factor = h[m - i][m] * chain % p
+            if factor:
+                for t, c in enumerate(polys[m - i]):
+                    poly[t] = (poly[t] - factor * c) % p
+        polys.append(poly)
+    return polys[d]
+
+
+def _eigenvalues(mat: list[list[int]], p: int) -> list[int]:
+    """The distinct eigenvalues in F_p of a square matrix, ascending: the
+    roots of its characteristic polynomial, found by evaluating it at every
+    element of F_p."""
+    coeffs = _charpoly(mat, p)[::-1]
+    roots = []
+    for lam in range(p):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * lam + c) % p
+        if not acc:
+            roots.append(lam)
+    return roots
+
+
+def _combine(coeffs: list[int], basis: list[list[int]], p: int) -> list[int]:
+    """The linear combination sum_s coeffs[s] * basis[s], reduced mod p."""
+    acc = [0] * len(basis[0])
+    for c, vec in zip(coeffs, basis):
+        if c:
+            acc = [x + c * y for x, y in zip(acc, vec)]
+    return [x % p for x in acc]
+
+
 def _split_subspace(basis, pivots, mat, p):
     """Split an invariant subspace into eigenspaces of mat.
 
     basis is in reduced row echelon form, so coordinates of any vector in
-    the subspace can be read off its pivot columns.  Returns a list of
-    (basis, pivots) pieces, or None when mat does not act diagonalizably
-    on the subspace (the caller then retries with another prime).
+    the subspace can be read off its pivot columns.  mat is a class matrix
+    as its nonzero (row, col, count) entries; the image of each basis
+    vector costs one pass over them.  The d x d restriction to the subspace
+    is checked for invariance, its eigenvalues are the roots of its
+    characteristic polynomial, and each eigenvalue, ascending, costs one
+    kernel.  Returns a list of (basis, pivots) pieces, or None when mat
+    does not act diagonalizably on the subspace (the caller then retries
+    with another prime).
     """
     r = len(basis[0])
     d = len(basis)
     restriction = []
     for bvec in basis:
-        image = [sum(m_row[k] * bvec[k] for k in range(r)) % p for m_row in mat]
+        image = [0] * r
+        for row, col, count in mat:
+            image[row] += count * bvec[col]
+        image = [x % p for x in image]
         coords = [image[pc] for pc in pivots]
-        for j in range(r):
-            residual = image[j] - sum(c * basis[t][j] for t, c in enumerate(coords))
-            if residual % p:
-                return None  # subspace not invariant mod p
+        if _combine(coords, basis, p) != image:
+            return None  # subspace not invariant mod p
         restriction.append(coords)
     # right eigenvectors of the transposed restriction give coefficient
     # vectors over the subspace basis
     transposed = [[restriction[s][t] for s in range(d)] for t in range(d)]
     pieces = []
     found = 0
-    for lam in range(p):
+    for lam in _eigenvalues(transposed, p):
         shifted = [
             [(transposed[i][j] - (lam if i == j else 0)) % p for j in range(d)]
             for i in range(d)
         ]
         ker = _kernel(shifted, p)
-        if not ker:
-            continue
-        mapped = [
-            [sum(c[s] * basis[s][j] for s in range(d)) % p for j in range(r)]
-            for c in ker
-        ]
-        pieces.append(_rref(mapped, p))
+        pieces.append(_rref([_combine(c, basis, p) for c in ker], p))
         found += len(ker)
-        if found == d:
-            break
     if found != d:
         return None
     return pieces
@@ -363,7 +436,7 @@ def _split_subspace(basis, pivots, mat, p):
 
 def _common_eigenvectors(mats, p: int):
     """One-dimensional common invariant subspaces of all mats, or None."""
-    r = len(mats[0])
+    r = len(mats)  # one class matrix per class
     full = [[1 if j == i else 0 for j in range(r)] for i in range(r)]
     subspaces = [(full, list(range(r)))]
     for mat in mats[1:]:  # mats[0] is the identity class, always scalar
@@ -427,25 +500,67 @@ def _primitive_root(p: int) -> int:
     raise RuntimeError(f"no primitive root mod {p}")  # unreachable for prime p
 
 
-def _structure_constants(data: ClassData) -> list[list[list[int]]]:
-    """mats[i][j][k] counts pairs (x, y) with x in class i, y in class j,
-    and x*y the representative of class k.  The count is independent of
-    which member of class k is fixed."""
-    r = data.num_classes
+def _structure_constants(data: ClassData) -> list[list[tuple[int, int, int]]]:
+    """Class matrix i as its nonzero (row j, col k, count) entries: count is
+    the number of pairs (x, y) with x in class i, y in class j, and x*y the
+    representative of class k.  The count is independent of which member
+    of class k is fixed."""
     reps = data.representatives
-    mats = [[[0] * r for _ in range(r)] for _ in range(r)]
+    counts = [Counter() for _ in reps]
     for x, i in data.class_of.items():
         xi = _invert(x)
-        row = mats[i]
+        entries = counts[i]
         for k, z in enumerate(reps):
-            row[data.class_of[_mul(xi, z)]][k] += 1
-    return mats
+            entries[data.class_of[_mul(xi, z)], k] += 1
+    return [[(j, k, c) for (j, k), c in entries.items()] for entries in counts]
 
 
-def _try_prime(data: ClassData, mats, exponent: int, p: int) -> CharacterTable | None:
+def _cyclic_subgroup_classes(data: ClassData):
+    """One entry per conjugacy class of cyclic subgroups <g>.
+
+    Each entry is (seq, members): seq[t] is the class of g^t for t below
+    the order o of g, read off the power maps, and members lists (k, a) for
+    every class k whose representative is conjugate to g^a with
+    gcd(a, o) = 1, with the smallest such a.
+    """
     r = data.num_classes
-    reduced = [[[c % p for c in mrow] for mrow in m] for m in mats]
-    vectors = _common_eigenvectors(reduced, p)
+    primes = list(data.power_maps)
+    claimed = [False] * r
+    out = []
+    for k in range(r):
+        if claimed[k]:
+            continue
+        o = data.element_orders[k]
+        seq = [0, k][:o]  # g^0 is the identity, class 0
+        for a in range(2, o):
+            q = next(q for q in primes if a % q == 0)
+            seq.append(data.power_maps[q][seq[a // q]])
+        members = []
+        for a in range(o):
+            if gcd(a, o) == 1 and not claimed[seq[a]]:
+                claimed[seq[a]] = True
+                members.append((seq[a], a))
+        out.append((seq, members))
+    return out
+
+
+def _try_prime(
+    data: ClassData, mats, cyclic, exponent: int, p: int
+) -> CharacterTable | None:
+    """The table from one prime p = 1 mod exponent, or None if p fails.
+
+    Common eigenvectors of the class matrices give the central characters
+    omega, and orthogonality gives each degree.  The lift then runs one
+    transform per conjugacy class of cyclic subgroups <g> of order o: the
+    residues of chi(g^t), t < o, transformed against o-th roots of unity in
+    F_p, are the multiplicities m_j of zeta_o^j in chi(g).  This is the
+    exponent-length transform of the same (o-periodic) sequence, which
+    vanishes off multiples of exponent/o, so nothing is approximated.  A
+    class conjugate to g^a with gcd(a, o) = 1 takes the same multiplicities
+    at j*a mod o.
+    """
+    r = data.num_classes
+    vectors = _common_eigenvectors(mats, p)
     if vectors is None:
         return None
 
@@ -455,19 +570,13 @@ def _try_prime(data: ClassData, mats, exponent: int, p: int) -> CharacterTable |
 
     root = _primitive_root(p)
     zeta_inv = pow(pow(root, (p - 1) // exponent, p), p - 2, p)
-    zeta_inv_pow = [pow(zeta_inv, t, p) for t in range(exponent)]
-    exp_inverse = pow(exponent % p, p - 2, p)
-
-    # class index of rep^s for s = 0..exponent-1, per class
-    identity = tuple(range(len(data.representatives[0])))
-    power_sequences = []
-    for rep in data.representatives:
-        cur = identity
-        seq = []
-        for _ in range(exponent):
-            seq.append(data.class_of[cur])
-            cur = _mul(cur, rep)
-        power_sequences.append(seq)
+    # per subgroup order o: the powers of zeta_o^-1 and the inverse of o
+    lift_constants = {}
+    for seq, _ in cyclic:
+        o = len(seq)
+        if o not in lift_constants:
+            step = pow(zeta_inv, exponent // o, p)
+            lift_constants[o] = ([pow(step, t, p) for t in range(o)], pow(o, p - 2, p))
 
     rows = []
     for v in vectors:
@@ -489,22 +598,28 @@ def _try_prime(data: ClassData, mats, exponent: int, p: int) -> CharacterTable |
             return None
         residues = [degree * omega[k] % p * size_inverse[k] % p for k in range(r)]
 
-        values = []
-        for k in range(r):
-            seq = power_sequences[k]
+        values = [None] * r
+        for seq, members in cyclic:
+            o = len(seq)
+            zeta_inv_pow, o_inverse = lift_constants[o]
+            powers = [residues[c] for c in seq]
             multiplicity = {}
             total = 0
-            for j in range(exponent):
+            for j in range(o):
                 acc = 0
-                for s in range(exponent):
-                    acc += residues[seq[s]] * zeta_inv_pow[j * s % exponent]
-                m_j = acc % p * exp_inverse % p
+                for t, x in enumerate(powers):
+                    acc += x * zeta_inv_pow[j * t % o]
+                m_j = acc % p * o_inverse % p
                 if m_j:
                     multiplicity[j] = m_j
                     total += m_j
             if total != degree:
                 return None
-            values.append(canonicalize(exponent, multiplicity))
+            stride = exponent // o
+            for k, a in members:
+                values[k] = canonicalize(
+                    exponent, {j * a % o * stride: m for j, m in multiplicity.items()}
+                )
         if not values[0].is_rational or values[0].as_rational() != degree:
             return None
         rows.append((degree, values))
@@ -514,7 +629,7 @@ def _try_prime(data: ClassData, mats, exponent: int, p: int) -> CharacterTable |
         ClassInfo(f"c{k}", data.sizes[k], data.element_orders[k]) for k in range(r)
     )
     return CharacterTable.from_values(
-        group_name=f"perm(deg={len(identity)}, order={data.group_order})",
+        group_name=f"perm(deg={len(data.representatives[0])}, order={data.group_order})",
         group_order=data.group_order,
         classes=classes,
         character_names=tuple(f"x{i}" for i in range(r)),
@@ -532,9 +647,10 @@ def dixon_character_table(group: PermGroup, limit: int | None = None) -> Charact
     """
     data = enumerate_and_classify(group, limit)
     mats = _structure_constants(data)
+    cyclic = _cyclic_subgroup_classes(data)
     exponent = data.exponent
     for p in _candidate_primes(exponent, data.group_order, 25):
-        table = _try_prime(data, mats, exponent, p)
+        table = _try_prime(data, mats, cyclic, exponent, p)
         if table is not None:
             report = validate_table(table)
             if not report:

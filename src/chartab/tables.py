@@ -156,7 +156,19 @@ class CharacterTable:
 
     @staticmethod
     def from_json(doc: dict) -> "CharacterTable":
-        return CharacterTable.from_values(
+        """Read a table back; each distinct JSON value is parsed once."""
+        index: dict[tuple, int] = {}
+        distinct: list[dict] = []
+
+        def position(value: dict) -> int:
+            key = (value["conductor"], tuple(map(tuple, value["coeffs"])))
+            if key not in index:
+                index[key] = len(distinct)
+                distinct.append(value)
+            return index[key]
+
+        rows = tuple(tuple(map(position, ch["values"])) for ch in doc["characters"])
+        return CharacterTable(
             group_name=doc["group"],
             group_order=int(doc["order"]),
             classes=tuple(
@@ -164,10 +176,8 @@ class CharacterTable:
                 for c in doc["classes"]
             ),
             character_names=tuple(ch["name"] for ch in doc["characters"]),
-            characters=[
-                [Cyclotomic.from_json(v) for v in ch["values"]]
-                for ch in doc["characters"]
-            ],
+            palette=tuple(Cyclotomic.from_json(v) for v in distinct),
+            rows=rows,
         )
 
 

@@ -126,7 +126,7 @@ def test_criterion_5_oracle_equivalence():
     specs = [
         Dihedral(2), Dihedral(3), Dihedral(4),
         Extraspecial2(1), Extraspecial2(2),
-        Psl2Even(2),
+        Psl2Even(2), Psl2Even(4),
     ]
     for spec in specs:
         generated = build_table(spec)

@@ -352,6 +352,17 @@ def test_verify_extraspecial(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_psl2even_4(capsys):
+    # order 4080, exponent 510; the stdout digest was recorded with the dense
+    # oracle that tests/oracle_reference.py keeps
+    code, out, _ = run(capsys, "verify", "psl2even", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8c1c212bf58b263cfecc6d7ce530f72028ef4891de4f488c6a75f44e0c81d56c"
+    )
+
+
 def test_verify_checks_the_group_order_first(capsys, monkeypatch):
     # order 2^36 - 2^12: past the limit before any permutation is built
     def refuse(r):

@@ -1,10 +1,14 @@
 """Permutation-group oracle: classification, Dixon tables, relabeling comparison."""
 
+import random
+
 import pytest
+from oracle_reference import reference_character_table, reference_eigenvalues
 
 from chartab.oracle import (
     GroupTooLargeError,
     PermGroup,
+    _eigenvalues,
     builtin_perm_group,
     compare_tables,
     dixon_character_table,
@@ -153,6 +157,71 @@ def test_dixon_agrees_with_generator_dihedral16():
     reference = dihedral_table(3)
     assert compare_tables(reference, t).matched
     assert group_stats(t) == group_stats(reference)
+
+
+# ---------------------------------------------------------------------------
+# the fast oracle against the dense reference
+
+KLEIN_REGULAR = PermGroup(4, ((1, 0, 3, 2), (2, 3, 0, 1)))
+
+DIFFERENTIAL_CORPUS = [
+    *(builtin_perm_group(Dihedral(n)) for n in range(1, 7)),
+    *(builtin_perm_group(Extraspecial2(n)) for n in range(1, 4)),
+    *(builtin_perm_group(Psl2Even(r)) for r in range(1, 4)),
+    S3,
+    S4,
+    A5,
+    Q8,
+    KLEIN_REGULAR,
+    builtin_perm_group(Product((Dihedral(2), Psl2Even(2)))),
+    builtin_perm_group(Product((Extraspecial2(1), Dihedral(3)))),
+]
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_CORPUS, ids=lambda g: f"deg{g.degree}")
+def test_dixon_matches_the_dense_reference(group):
+    fast = dixon_character_table(group)
+    slow = reference_character_table(group)
+    assert [v.key() for v in fast.palette] == [v.key() for v in slow.palette]
+    assert fast.rows == slow.rows
+    assert fast == slow
+
+
+def test_eigenvalues_match_a_lambda_scan():
+    rng = random.Random(7)
+    for p in (2, 3, 5, 7, 13, 17, 97):
+        cases = [[[0]], [[5]], [[0, 0], [0, 0]], [[0, 1], [p - 1, 0]]]
+        for d in (2, 3, 4, 5):
+            cases.append([[rng.randrange(p) for _ in range(d)] for _ in range(d)])
+            # diagonalizable with repeated eigenvalues: U diag U^-1 for an
+            # upper unitriangular U, whose inverse back substitution gives
+            diag = [rng.choice((1, 2, 2, 3)) % p for _ in range(d)]
+            upper = [
+                [1 if i == j else rng.randrange(p) if j > i else 0 for j in range(d)]
+                for i in range(d)
+            ]
+            inverse = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+            for j in range(d):
+                for i in reversed(range(j)):
+                    inverse[i][j] = -sum(
+                        upper[i][k] * inverse[k][j] for k in range(i + 1, j + 1)
+                    ) % p
+            cases.append(
+                [
+                    [
+                        sum(upper[i][k] * diag[k] * inverse[k][j] for k in range(d)) % p
+                        for j in range(d)
+                    ]
+                    for i in range(d)
+                ]
+            )
+            # a single Jordan block: one eigenvalue, one eigenvector
+            cases.append(
+                [[3 % p if i == j else 1 if j == i + 1 else 0 for j in range(d)]
+                 for i in range(d)]
+            )
+        for mat in cases:
+            assert _eigenvalues(mat, p) == reference_eigenvalues(mat, p), (p, mat)
 
 
 # ---------------------------------------------------------------------------

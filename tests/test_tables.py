@@ -276,6 +276,24 @@ def test_table_json_round_trip():
         assert CharacterTable.from_json(t.to_json()) == t
 
 
+@pytest.mark.parametrize("build", [dihedral_table, psl2_even_table])
+def test_from_json_parses_each_distinct_value_once(build, monkeypatch):
+    table = build(6)
+    calls = []
+    parse = Cyclotomic.from_json
+
+    def counting(doc):
+        calls.append(doc)
+        return parse(doc)
+
+    doc = table.to_json()
+    monkeypatch.setattr(Cyclotomic, "from_json", staticmethod(counting))
+    again = CharacterTable.from_json(doc)
+    assert 0 < len(calls) <= len(table.palette)
+    assert [v.key() for v in again.palette] == [v.key() for v in table.palette]
+    assert again.rows == table.rows
+
+
 def test_validate_trivial():
     assert validate_table(trivial_table()).ok
 
