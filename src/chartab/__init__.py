@@ -38,7 +38,6 @@ from chartab.tables import (
     extraspecial2_table,
     product_table,
     psl2_even_table,
-    steinberg_index,
     validate_table,
 )
 from chartab.stats import (
@@ -103,7 +102,6 @@ __all__ = [
     "m_invariant",
     "product_table",
     "psl2_even_table",
-    "steinberg_index",
     "theta_master",
     "u_power",
     "validate_table",

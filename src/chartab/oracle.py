@@ -65,8 +65,8 @@ class GroupTooLargeError(ValueError):
 
     def __init__(self, limit: int) -> None:
         super().__init__(
-            f"group has more than {limit} elements; raise the limit "
-            f"argument or {GROUP_LIMIT_ENV} to enumerate it anyway"
+            f"group has more than {limit} elements; raise "
+            f"{GROUP_LIMIT_ENV} to enumerate it anyway"
         )
 
 
@@ -168,22 +168,17 @@ class ClassData:
 
     @property
     def exponent(self) -> int:
-        out = 1
-        for o in self.element_orders:
-            out = lcm(out, o)
-        return out
+        return lcm(*self.element_orders)
 
 
-def _group_limit(limit: int | None) -> int:
-    if limit is not None:
-        return limit
+def _group_limit() -> int:
     return int(os.environ.get(GROUP_LIMIT_ENV, DEFAULT_GROUP_LIMIT))
 
 
 def check_group_limit(order: int) -> None:
     """Refuse a group of known order above the element limit, before any
     permutation realization of it is built."""
-    limit = _group_limit(None)
+    limit = _group_limit()
     if order > limit:
         raise GroupTooLargeError(limit)
 
@@ -217,15 +212,17 @@ def _primes_up_to(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def enumerate_and_classify(group: PermGroup, limit: int | None = None) -> ClassData:
+def enumerate_and_classify(group: PermGroup) -> ClassData:
     """Enumerate the group and partition it into conjugacy classes.
 
     Classes are ordered identity first, then by (size, element order,
     lexicographically smallest member); the representative of each class
     is that smallest member, so the result is a pure function of the
-    group, independent of generator order.
+    group, independent of generator order.  A group with more elements
+    than ``CHARTAB_ORACLE_LIMIT`` (default 200000) raises
+    `GroupTooLargeError` during enumeration.
     """
-    elements = sorted(_enumerate_elements(group, _group_limit(limit)))
+    elements = sorted(_enumerate_elements(group, _group_limit()))
     gens = group.generators
     ginvs = [_invert(g) for g in gens]
     class_of: dict[Perm, int] = {}
@@ -260,12 +257,9 @@ def enumerate_and_classify(group: PermGroup, limit: int | None = None) -> ClassD
     orders = tuple(_perm_order(rep) for rep in reps)
     class_of = {x: renumber[i] for x, i in class_of.items()}
 
-    exponent = 1
-    for o in orders:
-        exponent = lcm(exponent, o)
     power_maps = {
         p: tuple(class_of[_perm_power(rep, p)] for rep in reps)
-        for p in _primes_up_to(exponent)
+        for p in _primes_up_to(lcm(*orders))
     }
     return ClassData(
         group_order=len(elements),
@@ -637,7 +631,7 @@ def _try_prime(
     )
 
 
-def dixon_character_table(group: PermGroup, limit: int | None = None) -> CharacterTable:
+def dixon_character_table(group: PermGroup) -> CharacterTable:
     """Compute the full character table of a permutation group.
 
     Output classes are named c0, c1, ... in the canonical class order of
@@ -645,7 +639,7 @@ def dixon_character_table(group: PermGroup, limit: int | None = None) -> Charact
     (degree, value tuple).  The result is validated against the standard
     table identities before being returned.
     """
-    data = enumerate_and_classify(group, limit)
+    data = enumerate_and_classify(group)
     mats = _structure_constants(data)
     cyclic = _cyclic_subgroup_classes(data)
     exponent = data.exponent
@@ -810,27 +804,26 @@ def builtin_perm_group(spec: FamilySpec) -> PermGroup:
 
 @dataclass(frozen=True)
 class TableComparison:
+    """The outcome of `compare_tables`: on a match, class_map and row_map
+    send indices of the first table to indices of the second; otherwise
+    reason says what differs."""
+
     matched: bool
     reason: str | None
     class_map: tuple[int, ...] | None
     row_map: tuple[int, ...] | None
-    element_order_mismatches: tuple[tuple[str, str, int, int], ...] = ()
 
     def __bool__(self) -> bool:
         return self.matched
 
 
-def compare_tables(
-    a: CharacterTable, b: CharacterTable, match_element_orders: bool = True
-) -> TableComparison:
+def compare_tables(a: CharacterTable, b: CharacterTable) -> TableComparison:
     """Decide whether b is a relabeling of a.
 
     Looks for a class bijection and a character bijection under which the
-    tables agree entry by entry; class sizes must correspond, and element
-    orders must too unless match_element_orders is False.  On success
-    class_map and row_map send indices of a to indices of b.  With order
-    matching disabled, any order disagreements along the matched classes
-    are reported rather than enforced.
+    tables agree entry by entry; matched classes must have the same size
+    and the same element order.  On success class_map and row_map send
+    indices of a to indices of b.
 
     Values are compared semantically: both tables are rewritten into the
     smallest common cyclotomic field first, so differing conductors for
@@ -838,7 +831,7 @@ def compare_tables(
     """
 
     def fail(reason: str) -> TableComparison:
-        return TableComparison(False, reason, None, None, ())
+        return TableComparison(False, reason, None, None)
 
     if a.group_order != b.group_order:
         return fail(f"group orders differ: {a.group_order} vs {b.group_order}")
@@ -847,17 +840,11 @@ def compare_tables(
     if len(a.rows) != len(b.rows):
         return fail(f"character counts differ: {len(a.rows)} vs {len(b.rows)}")
 
-    if match_element_orders:
-        profile_a = sorted((c.size, c.element_order) for c in a.classes)
-        profile_b = sorted((c.size, c.element_order) for c in b.classes)
-        label = "(size, element order)"
-    else:
-        profile_a = sorted((c.size,) for c in a.classes)
-        profile_b = sorted((c.size,) for c in b.classes)
-        label = "(size,)"
+    profile_a = sorted((c.size, c.element_order) for c in a.classes)
+    profile_b = sorted((c.size, c.element_order) for c in b.classes)
     if profile_a != profile_b:
         return fail(
-            f"class {label} multisets differ: {profile_a} vs {profile_b}"
+            f"class (size, element order) multisets differ: {profile_a} vs {profile_b}"
         )
 
     degrees_a, degrees_b = a.degrees, b.degrees
@@ -879,9 +866,7 @@ def compare_tables(
 
     def column_invariant(table, vals, degrees, j):
         info = table.classes[j]
-        profile = (
-            (info.size, info.element_order) if match_element_orders else (info.size,)
-        )
+        profile = (info.size, info.element_order)
         pairs = Counter((degrees[i], vals[i][j]) for i in range(nrows))
         return (profile, tuple(sorted(pairs.items())))
 
@@ -933,17 +918,4 @@ def compare_tables(
     for x in range(nrows):
         sig = tuple(vals_a[x][i] for i in column_order)
         row_map.append(signature_to_b_rows[sig].pop(0))
-
-    mismatches = ()
-    if not match_element_orders:
-        mismatches = tuple(
-            (
-                a.classes[i].name,
-                b.classes[assignment[i]].name,
-                a.classes[i].element_order,
-                b.classes[assignment[i]].element_order,
-            )
-            for i in range(r)
-            if a.classes[i].element_order != b.classes[assignment[i]].element_order
-        )
-    return TableComparison(True, None, tuple(assignment), tuple(row_map), mismatches)
+    return TableComparison(True, None, tuple(assignment), tuple(row_map))

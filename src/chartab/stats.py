@@ -23,10 +23,11 @@ evaluator:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property, partial
 from itertools import compress
 from math import gcd
 
@@ -172,25 +173,17 @@ def group_stats(t: CharacterTable) -> StatRecord:
 
 @dataclass(frozen=True)
 class ClosedFormStats:
-    group: StatRecord
+    """A family's closed forms.  `group` is computed on its first read from
+    `group_record`: PSL(2, q)'s takes O(q) steps, and character-scope
+    readers never need it."""
+
+    group_record: Callable[[], StatRecord]
     character_name: str | None
     character: StatRecord | None
 
-
-def extraspecial_closed_form(p: int, n: int) -> StatRecord:
-    """Group statistics of an extraspecial group of order p^(2n+1), any prime p.
-
-    Only p = 2 has a table generator here; the closed form is kept general
-    because it costs nothing and pins the shape of the formulas.
-    """
-    if p < 2 or n < 1:
-        raise InvalidParameterError(f"need p >= 2 and n >= 1, got p={p}, n={n}")
-    big = p ** (2 * n)
-    chars = big + p - 1
-    u = Fraction(big, chars)
-    z_elem = Fraction((p - 1) * (p ** (2 * n + 1) - p), chars * p ** (2 * n + 1))
-    z_class = Fraction((p - 1) * (big - 1), chars * chars)
-    return _record(z_elem, z_class, u, u)
+    @cached_property
+    def group(self) -> StatRecord:
+        return self.group_record()
 
 
 def _dihedral_group_record(n: int) -> StatRecord:
@@ -207,6 +200,15 @@ def _dihedral_char_record(n: int) -> StatRecord:
     z_elem = Fraction(1, 2) + Fraction(1, 2**n)
     z_class = Fraction(3, 2 ** (n - 1) + 3)
     return _record(z_elem, z_class, 0, 0)
+
+
+def _extraspecial_group_record(n: int) -> StatRecord:
+    big = 2 ** (2 * n)
+    chars = big + 1
+    u = Fraction(big, chars)
+    z_elem = Fraction(2 ** (2 * n + 1) - 2, chars * 2 ** (2 * n + 1))
+    z_class = Fraction(big - 1, chars * chars)
+    return _record(z_elem, z_class, u, u)
 
 
 def _extraspecial_faithful_record(n: int) -> StatRecord:
@@ -306,7 +308,7 @@ def closed_form_stats(spec: FamilySpec) -> ClosedFormStats:
     if isinstance(spec, Dihedral):
         if spec.n < 1:
             raise InvalidParameterError(f"n must be >= 1, got {spec.n}")
-        group = _dihedral_group_record(spec.n)
+        group = partial(_dihedral_group_record, spec.n)
         if spec.n == 1:
             return ClosedFormStats(group, None, None)
         return ClosedFormStats(group, "rot1", _dihedral_char_record(spec.n))
@@ -314,7 +316,7 @@ def closed_form_stats(spec: FamilySpec) -> ClosedFormStats:
         if spec.n < 1:
             raise InvalidParameterError(f"n must be >= 1, got {spec.n}")
         return ClosedFormStats(
-            extraspecial_closed_form(2, spec.n),
+            partial(_extraspecial_group_record, spec.n),
             "faithful",
             _extraspecial_faithful_record(spec.n),
         )
@@ -322,7 +324,7 @@ def closed_form_stats(spec: FamilySpec) -> ClosedFormStats:
         if spec.r < 1:
             raise InvalidParameterError(f"r must be >= 1, got {spec.r}")
         return ClosedFormStats(
-            _psl2_group_record(spec.r), "steinberg", _steinberg_record(spec.r)
+            partial(_psl2_group_record, spec.r), "steinberg", _steinberg_record(spec.r)
         )
     if isinstance(spec, Product):
         raise InvalidParameterError(

@@ -49,7 +49,7 @@ class TableTooLargeError(ValueError):
 
 
 class MalformedTableError(ValueError):
-    """Raised when a table fails a structural lookup (missing Steinberg row, ...)."""
+    """Raised when a table fails a structural lookup (unknown class name, ...)."""
 
 
 @dataclass(frozen=True)
@@ -268,13 +268,13 @@ def spec_group_order(spec: FamilySpec) -> int:
     raise InvalidParameterError(f"unknown family spec {spec!r}")
 
 
-def build_table(spec: FamilySpec, class_limit: int | None = None) -> CharacterTable:
+def build_table(spec: FamilySpec) -> CharacterTable:
     """The generated table of a family spec.
 
     Every spec is checked against the class-count guard before anything is
     built, so an oversized request fails fast instead of exhausting memory.
     """
-    _check_class_count("table", spec_class_count(spec), class_limit)
+    _check_class_count("table", spec_class_count(spec))
     if isinstance(spec, Dihedral):
         return dihedral_table(spec.n)
     if isinstance(spec, Extraspecial2):
@@ -284,9 +284,9 @@ def build_table(spec: FamilySpec, class_limit: int | None = None) -> CharacterTa
     if isinstance(spec, Product):
         if not spec.factors:
             return trivial_table()
-        table = build_table(spec.factors[0], class_limit)
+        table = build_table(spec.factors[0])
         for f in spec.factors[1:]:
-            table = product_table(table, build_table(f, class_limit), class_limit)
+            table = product_table(table, build_table(f))
         return table
     raise InvalidParameterError(f"unknown family spec {spec!r}")
 
@@ -488,20 +488,25 @@ def psl2_even_table(r: int) -> CharacterTable:
 # products
 
 
-def _check_class_count(what: str, count: int, class_limit: int | None) -> None:
-    limit = class_limit
-    if limit is None:
-        limit = int(os.environ.get("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT))
+def describe_count(n: int) -> str:
+    """n in decimal when short, else by its size as ``at least 2^b``: the
+    decimal digits of a guard-busting count can run to hundreds of
+    thousands, past Python's int-to-string limit."""
+    if n < 10**18:
+        return str(n)
+    return f"at least 2^{n.bit_length() - 1}"
+
+
+def _check_class_count(what: str, count: int) -> None:
+    limit = int(os.environ.get("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT))
     if count > limit:
         raise TableTooLargeError(
-            f"{what} would have {count} classes, above the guard {limit}; "
+            f"{what} would have {describe_count(count)} classes, above the guard {limit}; "
             f"use closed-form statistics and recurrences for {what}s this size"
         )
 
 
-def product_table(
-    a: CharacterTable, b: CharacterTable, class_limit: int | None = None
-) -> CharacterTable:
+def product_table(a: CharacterTable, b: CharacterTable) -> CharacterTable:
     """Direct product table; classes and characters in row-major factor order.
 
     Class sizes multiply, element orders take the lcm, and every product
@@ -511,7 +516,7 @@ def product_table(
     is multiplied once.  Guarded by a class-count limit; oversized requests
     get an error pointing at the closed-form statistics instead.
     """
-    _check_class_count("product", a.num_classes * b.num_classes, class_limit)
+    _check_class_count("product", a.num_classes * b.num_classes)
 
     classes = tuple(
         ClassInfo(
@@ -651,14 +656,3 @@ def validate_table(t: CharacterTable) -> ValidationReport:
                 )
 
     return ValidationReport(True)
-
-
-def steinberg_index(t: CharacterTable, q: int) -> int:
-    """Index of the unique character of degree q; error if absent or ambiguous."""
-    hits = [i for i, d in enumerate(t.degrees) if d == q]
-    if len(hits) != 1:
-        raise MalformedTableError(
-            f"{t.group_name}: expected exactly one character of degree {q}, "
-            f"found {len(hits)}"
-        )
-    return hits[0]

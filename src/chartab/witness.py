@@ -50,6 +50,7 @@ from chartab.tables import (
     Product,
     Psl2Even,
     build_table,
+    describe_count,
     spec_class_count,
     spec_to_json,
 )
@@ -445,21 +446,17 @@ def _factor_record(fct: WitnessFactor) -> StatRecord:
     return cf.character
 
 
-def verify_witness(
-    w: Witness,
-    *,
-    class_limit: int = VERIFY_CLASS_LIMIT,
-    cell_limit: int = VERIFY_CELL_LIMIT,
-) -> VerificationReport:
+def verify_witness(w: Witness) -> VerificationReport:
     """Recompute a witness value two independent ways.
 
     (a) Replay the closed forms through the product rule (`compose`): the
     nonzero fraction of the expression is the product of per-factor
     nonzero fractions, the unit fraction is the product of per-factor unit
     fractions (all witness factors satisfy the multiplicativity
-    hypothesis).  (b) When the expression is small enough, build the
-    explicit product table and count, entry by entry.  Any disagreement
-    with the stored value raises; path (b) reports why when skipped.
+    hypothesis).  (b) When the expression has at most `VERIFY_CLASS_LIMIT`
+    classes and at most `VERIFY_CELL_LIMIT` table cells, build the explicit
+    product table and count, entry by entry.  Any disagreement with the
+    stored value raises; path (b) reports which guard fired when skipped.
     """
     kind = w.query.kind
     if not w.factors:
@@ -480,15 +477,15 @@ def verify_witness(
         total_classes *= spec_class_count(fct.family) ** fct.power
     table_value = None
     skipped = None
-    if total_classes > class_limit:
+    if total_classes > VERIFY_CLASS_LIMIT:
         skipped = (
-            f"explicit table skipped: {total_classes} classes exceed "
-            f"the guard {class_limit}"
+            f"explicit table skipped: {describe_count(total_classes)} classes exceed "
+            f"the guard {VERIFY_CLASS_LIMIT}"
         )
-    elif total_classes * total_classes > cell_limit:
+    elif total_classes * total_classes > VERIFY_CELL_LIMIT:
         skipped = (
             f"explicit table skipped: {total_classes * total_classes} cells "
-            f"exceed the guard {cell_limit}"
+            f"exceed the guard {VERIFY_CELL_LIMIT}"
         )
     else:
         flat: list[FamilySpec] = []

@@ -192,9 +192,9 @@ def _try_prime(data: ClassData, mats, exponent: int, p: int) -> CharacterTable |
     )
 
 
-def reference_character_table(group: PermGroup, limit: int | None = None) -> CharacterTable:
+def reference_character_table(group: PermGroup) -> CharacterTable:
     """`dixon_character_table` as the dense algorithm computes it."""
-    data = enumerate_and_classify(group, limit)
+    data = enumerate_and_classify(group)
     mats = _structure_constants(data)
     exponent = data.exponent
     for p in _candidate_primes(exponent, data.group_order, 25):

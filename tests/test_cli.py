@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from chartab import oracle, witness
+from chartab import oracle, stats, witness
 from chartab.cli import main
 from chartab.tables import CharacterTable, dihedral_table
 
@@ -277,6 +277,22 @@ def test_scan_rejects_kmax_past_limit(capsys):
     assert "--kmax must lie in [0, 1000000]" in err
 
 
+def test_character_scan_skips_the_group_record(capsys, monkeypatch):
+    # the group record of psl2even(40) counts order-3 pairs in O(2^40) steps
+    def refuse(c, n):
+        raise AssertionError("character scan computed the group record")
+
+    monkeypatch.setattr(stats, "_order_three_pairs", refuse)
+    code, out, err = run(
+        capsys,
+        "scan", "--stat", "uI", "--scope", "character",
+        "--family-params", "psl2even:40", "--kmax", "2",
+    )
+    assert code == 0
+    assert err == ""
+    assert out.startswith("{")
+
+
 def test_scan_rejects_group_u_for_psl2(capsys):
     code, out, err = run(
         capsys,
@@ -373,8 +389,8 @@ def test_verify_checks_the_group_order_first(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "psl2even", "12")
     assert code == 1
     assert out == ""
-    assert err == "chartab: group has more than 200000 elements; raise the limit " \
-        "argument or CHARTAB_ORACLE_LIMIT to enumerate it anyway\n"
+    assert err == "chartab: group has more than 200000 elements; raise " \
+        "CHARTAB_ORACLE_LIMIT to enumerate it anyway\n"
 
 
 def test_table_build_is_class_guarded(capsys, monkeypatch):
@@ -390,6 +406,20 @@ def test_table_build_is_class_guarded(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("chartab: table would have 33554435 classes")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, bits",
+    [(("table", "dihedral", "2000000"), 1999999), (("table", "extraspecial2", "3000000"), 6000000)],
+)
+def test_class_guard_line_stays_short(capsys, argv, bits):
+    # the CLI lifts the digit limit, so a decimal count would print in full
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"chartab: table would have at least 2^{bits} classes, above the guard")
+    assert err.count("\n") == 1
+    assert len(err) < 200
 
 
 # ---------------------------------------------------------------------------

@@ -86,16 +86,12 @@ def test_class_of_covers_the_group():
         assert data.class_of[rep] == idx
 
 
-def test_enumeration_limit():
-    with pytest.raises(GroupTooLargeError):
-        enumerate_and_classify(A5, limit=10)
-
-
 def test_enumeration_limit_env(monkeypatch):
     monkeypatch.setenv("CHARTAB_ORACLE_LIMIT", "10")
     with pytest.raises(GroupTooLargeError):
         enumerate_and_classify(A5)
-    assert enumerate_and_classify(A5, limit=60).group_order == 60
+    monkeypatch.setenv("CHARTAB_ORACLE_LIMIT", "60")
+    assert enumerate_and_classify(A5).group_order == 60
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +260,6 @@ def test_compare_q8_against_dihedral8():
     assert not strict.matched
     assert "(size, element order)" in strict.reason
     assert "multisets differ" in strict.reason
-    loose = compare_tables(d8, q8, match_element_orders=False)
-    assert loose.matched
-    assert loose.element_order_mismatches == (
-        ("s", "c3", 2, 4),
-        ("st", "c4", 2, 4),
-    )
 
 
 def test_compare_reports_structural_mismatches():

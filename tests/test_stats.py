@@ -8,7 +8,6 @@ from chartab.stats import (
     StatKind,
     char_stats,
     closed_form_stats,
-    extraspecial_closed_form,
     group_stats,
     render_decimal,
     theta_master,
@@ -132,15 +131,6 @@ def test_dihedral_frozen_group_values():
     assert rec.theta_elem == Fraction(3, 4)
     assert rec.z_class == Fraction(26, 121)
     assert rec.theta_class == Fraction(70, 121)
-
-
-def test_extraspecial_closed_form_odd_prime():
-    rec = extraspecial_closed_form(3, 1)
-    assert rec.u_elem == Fraction(9, 11)
-    assert rec.z_elem == Fraction(16, 99)
-    assert rec.z_class == Fraction(16, 121)
-    with pytest.raises(InvalidParameterError):
-        extraspecial_closed_form(1, 1)
 
 
 def test_closed_form_rejects_products():

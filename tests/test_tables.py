@@ -13,7 +13,6 @@ from chartab.tables import (
     Dihedral,
     Extraspecial2,
     InvalidParameterError,
-    MalformedTableError,
     Product,
     Psl2Even,
     TableTooLargeError,
@@ -26,7 +25,6 @@ from chartab.tables import (
     spec_from_json,
     spec_group_order,
     spec_to_json,
-    steinberg_index,
     trivial_table,
     validate_table,
 )
@@ -160,16 +158,6 @@ def test_psl2_validates(r):
     assert validate_table(psl2_even_table(r)).ok
 
 
-def test_steinberg_index():
-    t = psl2_even_table(2)
-    i = steinberg_index(t, 4)
-    assert t.character_names[i] == "steinberg"
-    with pytest.raises(MalformedTableError):
-        steinberg_index(t, 7)  # no such degree
-    with pytest.raises(MalformedTableError):
-        steinberg_index(psl2_even_table(1), 1)  # two characters of degree 1
-
-
 # ---------------------------------------------------------------------------
 # products
 
@@ -195,10 +183,11 @@ def test_product_value_can_recombine_to_root_of_unity():
     assert v.as_rational() == 2
 
 
-def test_product_class_limit():
+def test_product_class_limit(monkeypatch):
+    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "100")
     a = extraspecial2_table(2)  # 17 classes
     with pytest.raises(TableTooLargeError) as exc:
-        product_table(a, a, class_limit=100)
+        product_table(a, a)
     assert "289" in str(exc.value)
 
 
@@ -207,7 +196,8 @@ def test_product_class_limit_env(monkeypatch):
     a = dihedral_table(2)
     with pytest.raises(TableTooLargeError):
         product_table(a, a)
-    assert product_table(a, a, class_limit=25).num_classes == 25
+    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "25")
+    assert product_table(a, a).num_classes == 25
 
 
 @pytest.mark.parametrize(
@@ -216,13 +206,20 @@ def test_product_class_limit_env(monkeypatch):
     ids=repr,
 )
 def test_build_table_class_limit_covers_every_spec(spec, monkeypatch):
-    with pytest.raises(TableTooLargeError) as exc:
-        build_table(spec, class_limit=10)
-    assert f"{spec_class_count(spec)} classes" in str(exc.value)
     monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "10")
-    with pytest.raises(TableTooLargeError):
+    with pytest.raises(TableTooLargeError) as exc:
         build_table(spec)
-    assert build_table(spec, class_limit=spec_class_count(spec)).num_classes == spec_class_count(spec)
+    assert f"{spec_class_count(spec)} classes" in str(exc.value)
+    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", str(spec_class_count(spec)))
+    assert build_table(spec).num_classes == spec_class_count(spec)
+
+
+def test_class_guard_names_a_huge_count_by_its_size():
+    # 2^19999 + 3 classes: its 6021 decimal digits are past Python's
+    # int-to-string limit, so the guard must not print them
+    with pytest.raises(TableTooLargeError) as exc:
+        build_table(Dihedral(20000))
+    assert "would have at least 2^19999 classes" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from chartab.witness import (
     WitnessFactor,
     WitnessInconsistencyError,
     WitnessQuery,
+    find_witness,
     verify_witness,
     witness_global,
     witness_local,
@@ -274,6 +275,24 @@ def test_verify_skips_oversized_class_products():
     report = verify_witness(w)
     assert report.table_value is None
     assert "classes exceed" in report.table_skipped
+
+
+@pytest.mark.parametrize(
+    "kind, scope, target, bits",
+    [
+        # extraspecial2(5)^2328 and psl2even(10)^5838: class counts of
+        # 23284 and 58389 bits, past Python's int-to-string digit limit
+        (StatKind.Z_ELEM, Scope.GROUP, Fraction(9, 10), 23283),
+        (StatKind.U_ELEM, Scope.CHARACTER, Fraction(0), 58388),
+    ],
+)
+def test_verify_names_a_huge_class_count_by_its_size(kind, scope, target, bits):
+    w = find_witness(kind, scope, target, Fraction(1, 300))
+    report = verify_witness(w)
+    assert report.table_skipped == (
+        f"explicit table skipped: at least 2^{bits} classes exceed the guard 100000"
+    )
+    assert report.replay_value == w.value
 
 
 def test_verify_catches_tampered_value():
