@@ -86,8 +86,16 @@ def test_class_of_covers_the_group():
         assert data.class_of[rep] == idx
 
 
-def test_enumeration_limit_env(monkeypatch):
+def test_enumeration_limit(monkeypatch):
     monkeypatch.setenv("CHARTAB_ORACLE_LIMIT", "10")
+    with pytest.raises(GroupTooLargeError) as err:
+        enumerate_and_classify(A5)
+    assert "more than 10 elements" in str(err.value)
+    assert "CHARTAB_ORACLE_LIMIT" in str(err.value)
+
+
+def test_enumeration_limit_env(monkeypatch):
+    monkeypatch.setenv("CHARTAB_ORACLE_LIMIT", "59")
     with pytest.raises(GroupTooLargeError):
         enumerate_and_classify(A5)
     monkeypatch.setenv("CHARTAB_ORACLE_LIMIT", "60")
