@@ -36,7 +36,6 @@ round trip.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
@@ -51,6 +50,7 @@ from chartab.tables import (
     InvalidParameterError,
     Product,
     Psl2Even,
+    env_limit,
     validate_table,
 )
 
@@ -171,19 +171,16 @@ class ClassData:
         return lcm(*self.element_orders)
 
 
-def _group_limit() -> int:
-    return int(os.environ.get(GROUP_LIMIT_ENV, DEFAULT_GROUP_LIMIT))
-
-
 def check_group_limit(order: int) -> None:
     """Refuse a group of known order above the element limit, before any
     permutation realization of it is built."""
-    limit = _group_limit()
+    limit = env_limit(GROUP_LIMIT_ENV, DEFAULT_GROUP_LIMIT)
     if order > limit:
         raise GroupTooLargeError(limit)
 
 
-def _enumerate_elements(group: PermGroup, limit: int) -> set[Perm]:
+def _enumerate_elements(group: PermGroup) -> set[Perm]:
+    limit = env_limit(GROUP_LIMIT_ENV, DEFAULT_GROUP_LIMIT)
     identity = tuple(range(group.degree))
     seen = {identity}
     frontier = [identity]
@@ -222,7 +219,7 @@ def enumerate_and_classify(group: PermGroup) -> ClassData:
     than ``CHARTAB_ORACLE_LIMIT`` (default 200000) raises
     `GroupTooLargeError` during enumeration.
     """
-    elements = sorted(_enumerate_elements(group, _group_limit()))
+    elements = sorted(_enumerate_elements(group))
     gens = group.generators
     ginvs = [_invert(g) for g in gens]
     class_of: dict[Perm, int] = {}

@@ -91,7 +91,7 @@ def test_criterion_3_dihedral_zero_counts():
         total_cells = 0
         total_elems = 0
         for h in range(1, half):
-            row = t.characters[t.character_index(f"rot{h}")]
+            row = [t.palette[i] for i in t.rows[t.character_index(f"rot{h}")]]
             cells = sum(1 for v in row if v.is_zero)
             elems = sum(c.size for c, v in zip(t.classes, row) if v.is_zero)
             nu = (h & -h).bit_length() - 1

@@ -393,6 +393,23 @@ def test_verify_checks_the_group_order_first(capsys, monkeypatch):
         "CHARTAB_ORACLE_LIMIT to enumerate it anyway\n"
 
 
+@pytest.mark.parametrize("value", ["abc", "1e6", "-5", "0", ""])
+@pytest.mark.parametrize(
+    "variable, argv",
+    [
+        ("CHARTAB_CLASS_LIMIT", ["table", "dihedral", "2"]),
+        ("CHARTAB_ORACLE_LIMIT", ["verify", "dihedral", "1"]),
+    ],
+)
+def test_malformed_limit_is_refused(capsys, monkeypatch, variable, argv, value):
+    monkeypatch.setenv(variable, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"chartab: {variable} must be a positive integer, got {value!r}\n"
+    assert "Traceback" not in err
+
+
 def test_table_build_is_class_guarded(capsys, monkeypatch):
     monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "10")
     code, out, err = run(capsys, "table", "dihedral", "5")

@@ -1,6 +1,9 @@
 """Character-table builders: frozen small tables, counting lemmas, validation."""
 
+import random
+
 import pytest
+from validate_reference import reference_validate_table
 
 import chartab.stats
 import chartab.tables
@@ -13,6 +16,7 @@ from chartab.tables import (
     Dihedral,
     Extraspecial2,
     InvalidParameterError,
+    MalformedTableError,
     Product,
     Psl2Even,
     TableTooLargeError,
@@ -356,6 +360,26 @@ def test_validate_catches_misplaced_identity():
     assert "identity" in report.failure
 
 
+def test_validate_catches_zero_class_size():
+    # sizes 1, 1, 0, 4, 2 still sum to the order 8
+    t = dihedral_table(2)
+    sizes = (1, 1, 0, 4, 2)
+    classes = tuple(ClassInfo(c.name, s, c.element_order) for c, s in zip(t.classes, sizes))
+    report = validate_table(perturbed(t, classes=classes))
+    assert report == chartab.tables.ValidationReport(False, "class t^1 size 0 is not positive")
+
+
+def test_validate_catches_irrational_degree():
+    t = dihedral_table(2)
+    rows = list(t.characters)
+    rows[-1] = (Cyclotomic.zeta(12, 2),) + rows[-1][1:]
+    bad = perturbed(t, characters=tuple(rows))
+    with pytest.raises(MalformedTableError, match="identity value z12\\^2 is not"):
+        bad.degrees
+    report = validate_table(bad)
+    assert report.failure == "identity value z12^2 is not a positive integer"
+
+
 def test_validate_catches_shape_problems():
     t = dihedral_table(2)
     report = validate_table(perturbed(t, characters=t.characters[:-1]))
@@ -366,6 +390,65 @@ def test_validate_catches_shape_problems():
     )
     assert not report.ok
     assert "ragged" in report.failure
+
+
+def _with_cells(t: CharacterTable, cells: dict[tuple[int, int], Cyclotomic]) -> CharacterTable:
+    rows = [list(row) for row in t.characters]
+    for (i, j), v in cells.items():
+        rows[i][j] = v
+    return perturbed(t, characters=tuple(map(tuple, rows)))
+
+
+def _perturb(t: CharacterTable, rng: random.Random) -> CharacterTable:
+    """One seeded perturbation; irrational values stay off the identity
+    column, where the reference raises instead of reporting."""
+    rows = t.characters
+    i, j = rng.randrange(len(rows)), rng.randrange(1, t.num_classes)
+    kind = rng.choice(["cell", "degree", "foreign", "swap_rows", "swap_cells", "shift"])
+    if kind == "cell":
+        return _with_cells(t, {(i, j): rng.choice(t.palette)})
+    if kind == "degree":
+        return _with_cells(t, {(i, 0): Cyclotomic.from_rational(rng.randint(-2, 3))})
+    if kind == "foreign":
+        m = rng.choice([3, 5, 7, 9, 12])
+        return _with_cells(t, {(i, j): Cyclotomic.zeta(m, rng.randrange(1, m))})
+    if kind == "swap_rows":
+        i2 = rng.randrange(len(rows))
+        swapped = list(rows)
+        swapped[i], swapped[i2] = rows[i2], rows[i]
+        return perturbed(t, characters=tuple(swapped))
+    if kind == "swap_cells":
+        j2 = rng.randrange(1, t.num_classes)
+        return _with_cells(t, {(i, j): rows[i][j2], (i, j2): rows[i][j]})
+    return _with_cells(t, {(i, j): rows[i][j] + Cyclotomic.zeta(7) - Cyclotomic.zeta(7, -1)})
+
+
+def test_validate_matches_the_reference():
+    bases = [build_table(Dihedral(n)) for n in range(1, 5)]
+    bases += [build_table(Extraspecial2(n)) for n in (1, 2)]
+    bases += [build_table(Psl2Even(r)) for r in range(1, 5)]
+    bases += [
+        trivial_table(),
+        product_table(dihedral_table(2), psl2_even_table(2)),
+        build_table(Product((Psl2Even(1), Extraspecial2(1)))),
+    ]
+    bases += [
+        dixon_character_table(builtin_perm_group(spec))
+        for spec in (Dihedral(3), Psl2Even(2), Extraspecial2(1))
+    ]
+    rng = random.Random(20240601)
+    seeds = [t for t in bases if t.num_classes > 1]
+    tables = bases + [_perturb(rng.choice(seeds), rng) for _ in range(600)]
+    failures = []
+    for t in tables:
+        report = validate_table(t)
+        assert report == reference_validate_table(t), t.group_name
+        failures.append(report.failure or "")
+    # the cases reach every verdict the orthogonality pass can give
+    assert all(validate_table(t).ok for t in bases)
+    assert any(f.startswith("row orthogonality") and "z" in f.split("got")[1] for f in failures)
+    assert any(f.startswith("row orthogonality") and "z" not in f.split("got")[1] for f in failures)
+    assert any(f.startswith("identity value") for f in failures)
 
 
 # ---------------------------------------------------------------------------
