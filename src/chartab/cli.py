@@ -8,7 +8,8 @@ cross-checks it against the generator and the closed forms.
 
 Exit codes: 0 on success, 2 on usage errors (argparse), 1 on domain
 errors (an out-of-range target, a table past its size guard) with a
-diagnostic on standard error.  Output is deterministic: identical
+diagnostic on standard error, and 1 without one when the reader closes
+standard output early.  Output is deterministic: identical
 invocations produce identical bytes.  All fractions are parsed exactly;
 "0.75" means 3/4, not a float.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -410,9 +412,23 @@ def main(argv: list[str] | None = None) -> int:
         digit_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except _DOMAIN_ERRORS as exc:
         print(f"chartab: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): stop quietly.  Unflushed bytes
+        # stay buffered; pointing the descriptor at devnull keeps the
+        # interpreter's final flush from failing again.
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return 1
     finally:
         if lift:

@@ -85,9 +85,14 @@ class CharacterTable:
         order: dict[int, int] = {}
         for i in dict.fromkeys(chain.from_iterable(self.rows)):
             order.setdefault(merged[i], len(order))
+        index = [order.get(m) for m in merged]
+        if index == list(range(len(index))):
+            # already canonical, as generators emit it: keep the indices
+            object.__setattr__(self, "palette", tuple(self.palette))
+            object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+            return
         # every cell takes its index object from this list, so equal cells
         # share one int instead of allocating one each
-        index = [order.get(m) for m in merged]
         object.__setattr__(self, "palette", tuple(self.palette[m] for m in order))
         object.__setattr__(
             self, "rows", tuple(tuple(map(index.__getitem__, row)) for row in self.rows)
@@ -312,16 +317,21 @@ def trivial_table() -> CharacterTable:
     )
 
 
-def _cosine_pairs(conductor: int, sign: int, palette: list[Cyclotomic]) -> list[int]:
+def _cosine_pairs(
+    conductor: int, sign: int, palette: list[Cyclotomic], exponents: list[int] | None = None
+) -> list[int]:
     """Append ``sign * (zeta**e + zeta**-e)`` for ``e = 0..conductor // 2``
-    and ``zeta = zeta_conductor`` to ``palette``; return, per exponent mod
-    the conductor, the palette index of its value (``-e`` shares ``e``'s)."""
-    start = len(palette)
+    (in the order of ``exponents``, if given) and ``zeta = zeta_conductor``
+    to ``palette``; return, per exponent mod the conductor, the palette
+    index of its value (``-e`` shares ``e``'s)."""
+    if exponents is None:
+        exponents = range(conductor // 2 + 1)
+    slot = {e: len(palette) + i for i, e in enumerate(exponents)}
     palette.extend(
         canonicalize(conductor, {e: sign, -e: sign} if e else {0: 2 * sign})
-        for e in range(conductor // 2 + 1)
+        for e in exponents
     )
-    return [start + min(e, conductor - e) for e in range(conductor)]
+    return [slot[min(e, conductor - e)] for e in range(conductor)]
 
 
 def dihedral_table(n: int) -> CharacterTable:
@@ -363,8 +373,10 @@ def dihedral_table(n: int) -> CharacterTable:
     names = ["trivial", "sign_refl", "sign_rot", "sign_both"]
     rows = [linear(1, 1), linear(1, -1), linear(-1, 1), linear(-1, -1)]
 
-    # e = rot / 4 gives the zero the reflection classes carry
-    at = _cosine_pairs(rot, 1, palette)
+    # e = rot / 4 gives the zero the reflection classes carry.  Row rot1
+    # meets the cosines first, in class order, so listing them in that
+    # order builds the palette canonical (n >= 2).
+    at = _cosine_pairs(rot, 1, palette, rot_exponents)
     zero = at[rot // 4]
     for h in range(1, half):
         names.append(f"rot{h}")

@@ -12,13 +12,16 @@ table `_PLANS` holds, per (statistic, scope), the base and step families,
 the rule that picks each parameter (the smallest value from a start that a
 predicate accepts), the first k, and the trail texts.  The rules make the
 sequence start next to one end of the target range and move toward the
-other in steps below epsilon, so the walk up from the first k cannot jump
-over the band; the first k inside it is returned.  Minimal parameters and
-first hits make the output a pure function of the query.
+other in steps below epsilon, so it cannot jump over the band; the first k
+inside it is returned.  Minimal parameters and first hits make the output
+a pure function of the query.
 
-The scanner keeps integer numerators and denominators and compares
-|value - target| < epsilon by cross multiplication, with no per-step
-Fraction normalization; the exact Fraction is materialized once.
+The scanner does not try each k.  The c1 term never decreases and the c2
+term never increases, so each bounds every later value from one side; it
+jumps to the first k that both bounds allow, and stops when k stays put.
+Each jump is a monotone test on one power, located by logarithms and
+decided exactly on cross-multiplied integers; the exact Fraction is built
+once, for the accepted k.
 
 `verify_witness` recomputes a witness two ways: replaying the closed forms
 through `chartab.stats.compose`, and, when the expression is small enough,
@@ -27,6 +30,7 @@ building the explicit product table and counting.  Disagreement raises.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -144,6 +148,52 @@ class Witness:
         }
 
 
+def _first_below(c: int, r: int, a: int, b: int, k: int) -> int | None:
+    """First j in [k, K_GUARD] with c*a^j < r*b^j, or None; k itself is
+    always tried.  Needs c >= 0 and 0 <= a <= b, so c*(a/b)^j never grows
+    with j and the test is monotone.
+
+    Every answer is decided on integers.  A guess by logarithms only says
+    where to look: gallop away from it until the first hit is bracketed,
+    then bisect.
+    """
+
+    def holds(j: int) -> bool:
+        return c * a**j < r * b**j
+
+    if holds(k):
+        return k
+    if r <= 0 or c == 0 or a == b or k >= K_GUARD:
+        return None  # no later j can pass, or k is already at the guard
+    if a == 0:
+        return k + 1  # a^j = 0 from j = 1 on, and r > 0
+    # log(b/a), kept accurate when a/b is near 1; 0 if it underflows
+    drop = math.log(b) - math.log(a) if b > 2 * a else math.log1p((b - a) / a)
+    x = (math.log(c) - math.log(r)) / drop if drop else 0.0
+    guess = min(max(int(min(x, K_GUARD)) + 1, k + 1), K_GUARD)
+    # holds(lo) is false; hi is a hit, or K_GUARD + 1 when none is known
+    lo, hi, step = k, K_GUARD + 1, 1
+    if holds(guess):
+        hi = guess
+        while hi - step > lo and holds(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(lo, hi - step)
+    else:
+        lo = guess
+        while lo + step < hi and not holds(lo + step):
+            lo += step
+            step *= 2
+        hi = min(hi, lo + step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi if hi <= K_GUARD else None
+
+
 def _scan_sequence(
     c0: Fraction,
     c1: Fraction,
@@ -154,37 +204,41 @@ def _scan_sequence(
     target: Fraction,
     epsilon: Fraction,
 ) -> tuple[int, Fraction]:
-    """First k >= k_start with |c0 + c1*r1^k + c2*r2^k - target| < epsilon."""
-    d = c0 - target
-    a, b = r1.numerator, r1.denominator
-    e, f = r2.numerator, r2.denominator
-    pow1_n, pow1_d = a**k_start, b**k_start
-    pow2_n, pow2_d = e**k_start, f**k_start
-    q0 = d.denominator * c1.denominator * c2.denominator
-    eps_n, eps_d = epsilon.numerator, epsilon.denominator
+    """First k >= k_start with |c0 + c1*r1^k + c2*r2^k - target| < epsilon.
+
+    With c1 <= 0 <= c2 and 0 <= r1, r2 <= 1, A(k) = c0 + c1*r1^k never
+    decreases and B(k) = c2*r2^k never increases, so for every j >= k
+
+        A(k) + B(j) <= value(j) <= A(j) + B(k).
+
+    No j before k_A, the first j >= k with A(j) > target - epsilon - B(k),
+    can lie above the band's floor, and no j before k_B, the first j >= k
+    with B(j) < target + epsilon - A(k), can lie below its ceiling.  So the
+    scan jumps to max(k_A, k_B) and repeats.  When k stops moving, both
+    bounds hold at k itself: value(k) is inside the band, and no earlier k
+    was.  Each of k_A, k_B is a monotone test on one power (`_first_below`).
+    """
+    assert c1 <= 0 <= c2 and 0 <= r1 <= 1 and 0 <= r2 <= 1
+    p1, q1, p2, q2 = c1.numerator, c1.denominator, c2.numerator, c2.denominator
+    a, b, e, f = r1.numerator, r1.denominator, r2.numerator, r2.denominator
+    # value - (target - epsilon) = floor + c1*r1^k + c2*r2^k, and
+    # (target + epsilon) - value = ceiling - c1*r1^k - c2*r2^k
+    floor, ceiling = c0 - target + epsilon, target + epsilon - c0
+    ln, ld, hn, hd = floor.numerator, floor.denominator, ceiling.numerator, ceiling.denominator
     k = k_start
     while True:
-        num = (
-            d.numerator * c1.denominator * c2.denominator * pow1_d * pow2_d
-            + c1.numerator * d.denominator * c2.denominator * pow1_n * pow2_d
-            + c2.numerator * d.denominator * c1.denominator * pow1_d * pow2_n
-        )
-        if abs(num) * eps_d < eps_n * q0 * pow1_d * pow2_d:
-            value = (
-                c0
-                + c1 * Fraction(pow1_n, pow1_d)
-                + c2 * Fraction(pow2_n, pow2_d)
-            )
-            return k, value
-        k += 1
-        if k > K_GUARD:
+        ak, bk, ek, fk = a**k, b**k, e**k, f**k
+        # A(j) > target - epsilon - B(k), cross-multiplied by ld*q1*q2*b^j*f^k
+        k_a = _first_below(-p1 * ld * q2 * fk, (ln * q2 * fk + p2 * ek * ld) * q1, a, b, k)
+        # B(j) < target + epsilon - A(k), cross-multiplied by hd*q1*q2*b^k*f^j
+        k_b = _first_below(p2 * hd * q1 * bk, (hn * q1 * bk - p1 * ak * hd) * q2, e, f, k)
+        if k_a is None or k_b is None:
             raise WitnessDomainError(
                 f"witness scan passed the k guard {K_GUARD}; epsilon is too small"
             )
-        pow1_n *= a
-        pow1_d *= b
-        pow2_n *= e
-        pow2_d *= f
+        if max(k_a, k_b) == k:
+            return k, c0 + c1 * Fraction(ak, bk) + c2 * Fraction(ek, fk)
+        k = max(k_a, k_b)
 
 
 _ZERO = Fraction(0)

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import chartab
 from chartab import oracle, stats, witness
 from chartab.cli import main
 from chartab.tables import CharacterTable, dihedral_table
@@ -43,6 +47,20 @@ def test_output_is_byte_stable(capsys):
     first = run(capsys, "table", "psl2even", "2")
     second = run(capsys, "table", "psl2even", "2")
     assert first == second
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader takes 10 bytes and leaves; the table is far larger than a pipe holds
+    env = dict(os.environ, PYTHONPATH=str(Path(chartab.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chartab.cli", "table", "dihedral", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(os.read(proc.stdout.fileno(), 10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""  # no traceback, no diagnostic
 
 
 def test_unknown_family_is_a_usage_error(capsys):

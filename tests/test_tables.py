@@ -539,3 +539,26 @@ def test_constructor_merges_equal_values_and_drops_unused():
     assert [v.key() for v in t.palette] == [one.key(), neg.key()]
     assert t.rows == ((0, 0), (0, 1))
     assert validate_table(t).ok
+
+
+@pytest.mark.parametrize("build", [dihedral_table, extraspecial2_table])
+def test_canonical_table_equals_its_shuffled_duplicated_rebuild(build):
+    t = build(4)  # these generators emit canonical order, so nothing is renumbered
+    # the same cells over a shuffled palette with a copy of every value and
+    # an unused one
+    rng = random.Random(5)
+    slots = list(range(2 * len(t.palette))) + [2 * len(t.palette)]
+    rng.shuffle(slots)
+    palette = [None] * len(slots)
+    for i, v in enumerate(t.palette):
+        palette[slots[i]] = palette[slots[i + len(t.palette)]] = v
+    palette[slots[-1]] = Cyclotomic.from_rational(7)
+    rows = tuple(
+        tuple(slots[i + rng.choice((0, len(t.palette)))] for i in row) for row in t.rows
+    )
+    again = CharacterTable(t.group_name, t.group_order, t.classes, t.character_names,
+                           tuple(palette), rows)
+    assert again == t
+    assert [v.key() for v in again.palette] == [v.key() for v in t.palette]
+    assert CharacterTable.from_json(t.to_json()) == t
+

@@ -2,10 +2,12 @@
 
 import dataclasses
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from chartab import witness
 from chartab.cli import main
 from chartab.stats import StatKind, render_decimal
 from chartab.tables import Dihedral, Extraspecial2, Psl2Even
@@ -23,6 +25,8 @@ from chartab.witness import (
     witness_theta_character,
     witness_theta_group,
 )
+
+from scan_reference import reference_scan_sequence
 
 TENTH = Fraction(1, 10)
 HUNDREDTH = Fraction(1, 100)
@@ -337,6 +341,129 @@ def test_verify_grid(eps):
         for tgt in (Fraction(0), Fraction(1, 2), Fraction(1)):
             verify_witness(witness_local(kind, tgt, eps))
             verify_witness(witness_global(kind, tgt, eps))
+
+
+# ---------------------------------------------------------------------------
+# the skip-ahead scan against the linear walk it replaced
+
+
+def _search_outcome(kind, scope, target, eps):
+    try:
+        w = find_witness(kind, scope, target, eps)
+    except WitnessDomainError as exc:
+        return str(exc)
+    return w.k, w.value, w.factors
+
+
+def _scan_outcome(scan, args):
+    try:
+        return scan(*args)
+    except WitnessDomainError as exc:
+        return str(exc)
+
+
+def test_scan_matches_the_linear_reference(monkeypatch):
+    fast = witness._scan_sequence
+    # every plan, targets across the whole range with both ends, coarse to fine eps
+    for kind in StatKind:
+        low = Fraction(1, 2) if kind is StatKind.THETA_ELEM else Fraction(0)
+        targets = [low + (1 - low) * Fraction(j, 20) for j in range(21)]
+        for scope in Scope:
+            for eps in (Fraction(1, n) for n in (2, 3, 7, 10, 25, 100)):
+                for target in targets:
+                    monkeypatch.setattr(witness, "_scan_sequence", reference_scan_sequence)
+                    want = _search_outcome(kind, scope, target, eps)
+                    monkeypatch.setattr(witness, "_scan_sequence", fast)
+                    assert _search_outcome(kind, scope, target, eps) == want, (
+                        kind, scope, target, eps,
+                    )
+
+    # random constants in the shape `_scan_constants` guarantees, with zero
+    # coefficients and the ratios 0 and 1 drawn on purpose, and targets near
+    # a value of the sequence; a small k guard bounds the walk of sequences
+    # that never reach the band
+    monkeypatch.setattr(witness, "K_GUARD", 2000)
+    rng = random.Random(7)
+
+    def ratio():
+        den = rng.randint(1, 40)
+        return Fraction(rng.choice([0, den, rng.randint(0, den), rng.randint(0, den)]), den)
+
+    def coefficient():
+        return Fraction(rng.choice([0, rng.randint(0, 30)]), rng.randint(1, 12))
+
+    hits = errors = 0
+    for _ in range(500):
+        c0, c1, r1, c2, r2 = (
+            Fraction(rng.randint(-24, 48), rng.randint(1, 24)),
+            -coefficient(), ratio(), coefficient(), ratio(),
+        )
+        eps = Fraction(1, rng.randint(1, 300))
+        j = rng.choice([0, 1, 2, rng.randint(0, 50), rng.randint(0, 1500)])
+        target = c0 + c1 * r1**j + c2 * r2**j + eps * Fraction(rng.randint(-14, 14), 10)
+        args = (c0, c1, r1, c2, r2, rng.randint(0, 3), target, eps)
+        want = _scan_outcome(reference_scan_sequence, args)
+        assert _scan_outcome(fast, args) == want, args
+        hits += isinstance(want, tuple)
+        errors += isinstance(want, str)
+    assert hits > 200 and errors > 100  # both outcomes are exercised
+
+    # ratios a hair below 1 over big denominators: the logarithms put the
+    # first hit hundreds of k off, so the gallop and the bisection run
+    for _ in range(40):
+        n = 2 ** rng.randint(40, 60) + rng.randint(0, 1000)
+        c0, c1 = Fraction(rng.randint(0, 4), 3), Fraction(-rng.randint(1, 30), 7)
+        r1 = Fraction(n - 1, n)
+        eps = Fraction(1, n * rng.randint(1, 4))
+        # value(k) is about c0 + c1*(1 - k/n), so the band sits near k = j
+        j = rng.randint(0, 1000)
+        target = c0 + c1 * (1 - Fraction(j, n)) + eps * Fraction(rng.randint(-9, 9), 10)
+        args = (c0, c1, r1, Fraction(0), Fraction(1), 0, target, eps)
+        assert _scan_outcome(fast, args) == _scan_outcome(reference_scan_sequence, args), args
+
+
+# sha256 of the JSON and pretty stdout of `chartab witness` on three deep
+# queries (k in the thousands and tens of thousands), recorded while the
+# scan still walked one k at a time
+DEEP_DIGESTS = {
+    ("thetaII", "group", "1", "1/300"): (
+        "250361ded5adfb502a82619ec26b5b22554c2ca3560b6a1208603baac96acf1d",
+        "958446faa3fd6f23cdc9a54fd991687e80f64bd2edcce35801372c09b3528207",
+    ),
+    ("theta", "group", "1", "1/1000"): (
+        "cf62c774dbf1bd53f093fc661acf82c4edebb28fbc26d3c4112986955c414359",
+        "f4b809b188c0b44942d11342164f5ecacccc869a8b22225ed4a67167a56ce603",
+    ),
+    ("zI", "character", "999/1000", "1/3000"): (
+        "ac3b667e3d8f4ea1ad566bc9309e35d0c47fa4de4acafa10385fed31529fd46d",
+        "defc03dbb861758432f74c70a0b59a3532f139e4620b0f97739d8c78fa59a6af",
+    ),
+}
+
+
+def test_deep_outputs_match_parent(capsys):
+    got = {}
+    for (stat, scope, target, eps) in DEEP_DIGESTS:
+        digests = []
+        for fmt in ("json", "pretty"):
+            argv = ["witness", "--stat", stat, "--scope", scope,
+                    "--target", target, "--eps", eps, "--format", fmt]
+            assert main(argv) == 0
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        got[stat, scope, target, eps] = tuple(digests)
+    assert got == DEEP_DIGESTS
+
+
+def test_scan_that_never_enters_the_band_hits_the_k_guard():
+    # 1/2 - (1/4)*(1/2)^k stays below 1 - 1/100 for every k; the linear walk
+    # would have stepped through all K_GUARD values of k first
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    with pytest.raises(WitnessDomainError) as exc:
+        witness._scan_sequence(half, -quarter, half, Fraction(0), Fraction(1), 0,
+                               Fraction(1), HUNDREDTH)
+    assert str(exc.value) == (
+        f"witness scan passed the k guard {witness.K_GUARD}; epsilon is too small"
+    )
 
 
 # ---------------------------------------------------------------------------
