@@ -87,7 +87,8 @@ class CharacterTable:
             order.setdefault(merged[i], len(order))
         index = [order.get(m) for m in merged]
         if index == list(range(len(index))):
-            # already canonical, as generators emit it: keep the indices
+            # already canonical, as the dihedral and extraspecial builders
+            # emit it: keep the indices
             object.__setattr__(self, "palette", tuple(self.palette))
             object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
             return
