@@ -8,8 +8,10 @@ The package computes, entirely in exact arithmetic:
   special linear groups over even fields, and their direct products
   (`chartab.tables`),
 * zero-mass and unit-mass statistics of tables, rows, and power sequences,
-  with closed forms cross-checked against the explicit tables, and
-  `compose`, the product rule for direct products (`chartab.stats`),
+  with closed forms cross-checked against the explicit tables,
+  `product_stats`, which counts a direct product from its factor tables
+  without building it, and `compose`, the product rule for direct products
+  (`chartab.stats`),
 * `find_witness`, which, given a statistic, a scope, a target level and a
   tolerance, produces a concrete character or group whose statistic lands
   within the tolerance (`chartab.witness`),
@@ -47,6 +49,7 @@ from chartab.stats import (
     closed_form_stats,
     compose,
     group_stats,
+    product_stats,
     theta_master,
     u_power,
     z_sequence,
@@ -100,6 +103,7 @@ __all__ = [
     "find_witness",
     "group_stats",
     "m_invariant",
+    "product_stats",
     "product_table",
     "psl2_even_table",
     "theta_master",

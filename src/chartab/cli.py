@@ -92,6 +92,16 @@ def _parse_family_params(text: str) -> FamilySpec:
     return _family_spec(name, param)
 
 
+def _fraction(text: str) -> Fraction:
+    """An exact fraction argument.  argparse turns only TypeError and
+    ValueError from a type function into usage errors, and "1/0" raises
+    ZeroDivisionError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -380,8 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_witness = sub.add_parser("witness", help="search for a statistic witness")
     p_witness.add_argument("--stat", choices=_STAT_FLAGS, required=True)
     p_witness.add_argument("--scope", choices=["character", "group"], required=True)
-    p_witness.add_argument("--target", type=Fraction, required=True)
-    p_witness.add_argument("--eps", type=Fraction, required=True)
+    p_witness.add_argument("--target", type=_fraction, required=True)
+    p_witness.add_argument("--eps", type=_fraction, required=True)
     _add_format(p_witness, ["json", "pretty"])
     p_witness.set_defaults(handler=_cmd_witness)
 

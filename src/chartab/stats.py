@@ -8,6 +8,11 @@ its size (proportions of (character, element) pairs); the *_class forms
 count table cells.  theta = z + u in both weightings, and everything is
 a Fraction computed from the exact value trichotomy; no floats.
 
+`product_stats` is the one table evaluator: it counts the statistics of a
+direct product of (table, rows) factors from per-factor value histograms,
+without building the product table, and `group_stats` and `char_stats`
+are its one-factor calls.
+
 Closed forms are provided for the three generated families and are
 cross-checked against the generated tables in the test suite.  Two
 composition rules cover direct products, and `compose` is their one
@@ -23,15 +28,14 @@ evaluator:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import compress
 from math import gcd
 
-from chartab.exactnum import Rational, ValueClass, classify_value
+from chartab.exactnum import Cyclotomic, Rational, ValueClass, classify_value
 from chartab.tables import (
     CharacterTable,
     Dihedral,
@@ -119,29 +123,64 @@ def _record(z_elem, z_class, u_elem, u_class) -> StatRecord:
     return StatRecord(Fraction(z_elem), Fraction(z_class), Fraction(u_elem), Fraction(u_class))
 
 
-def _stats(t: CharacterTable, rows, used) -> StatRecord:
-    """Statistics over some index rows of t, each row weighing the same.
-
-    Each palette entry in `used`, which must cover the rows, is classified
-    once; a cell then counts with its class size.
-    """
-    zero = [False] * len(t.palette)
-    rou = [False] * len(t.palette)
-    for i in used:
-        cls = classify_value(t.palette[i])
-        zero[i] = cls is ValueClass.ZERO
-        rou[i] = cls is ValueClass.ROOT_OF_UNITY
+def _histogram(t: CharacterTable, rows) -> list[tuple[Cyclotomic, int, int]]:
+    """(value, cells, class-size sum) per palette entry the rows use, in one
+    pass over their cells."""
     sizes = [c.size for c in t.classes]
-    zero_elems = zero_cells = rou_elems = rou_cells = 0
+    cells = [0] * len(t.palette)
+    elems = [0] * len(t.palette)
     for row in rows:
-        z = list(map(zero.__getitem__, row))
-        u = list(map(rou.__getitem__, row))
-        zero_elems += sum(compress(sizes, z))
-        zero_cells += sum(z)
-        rou_elems += sum(compress(sizes, u))
-        rou_cells += sum(u)
-    pair_total = t.group_order * len(rows)
-    cell_total = t.num_classes * len(rows)
+        for x, size in zip(row, sizes):
+            cells[x] += 1
+            elems[x] += size
+    return [(v, n, m) for v, n, m in zip(t.palette, cells, elems) if n]
+
+
+def product_stats(factors: Iterable[tuple[CharacterTable, Sequence[Sequence[int]]]]) -> StatRecord:
+    """Statistics of the direct product of some index rows of each factor
+    table, every product row weighing the same; the product table is never
+    built.
+
+    A product cell is one cell per factor: its value is the product of
+    theirs, its class size the product of theirs.  By distributivity the
+    product's cells holding a value v number the sum, over the tuples of
+    factor entries whose product is v, of the product of their cell counts,
+    and likewise for class-size sums.  So each factor reduces to its
+    `_histogram`, and the fold multiplies each distinct partial value by
+    each entry of the next factor once, exactly, merging equal products by
+    `Cyclotomic.key()`.  Each distinct final value is classified once: no
+    multiplicativity of u is assumed, and it fails in general (in
+    PSL(2, 16)^2, (z5 + z5^-1)(z5^2 + z5^-2) = -1).  No factors is the
+    trivial group.
+    """
+    counts = None
+    pair_total = cell_total = 1
+    for t, rows in factors:
+        pair_total *= t.group_order * len(rows)
+        cell_total *= t.num_classes * len(rows)
+        entries = _histogram(t, rows)
+        if counts is None:
+            counts = entries  # one table: never multiplied by 1
+            continue
+        merged: dict[tuple, list] = {}
+        for v, n, m in counts:
+            for x, nx, mx in entries:
+                p = v * x
+                slot = merged.setdefault(p.key(), [p, 0, 0])
+                slot[1] += n * nx
+                slot[2] += m * mx
+        counts = list(merged.values())
+    if counts is None:
+        counts = [(Cyclotomic.one(), 1, 1)]
+    zero_elems = zero_cells = rou_elems = rou_cells = 0
+    for v, n, m in counts:
+        cls = classify_value(v)
+        if cls is ValueClass.ZERO:
+            zero_cells += n
+            zero_elems += m
+        elif cls is ValueClass.ROOT_OF_UNITY:
+            rou_cells += n
+            rou_elems += m
     return _record(
         Fraction(zero_elems, pair_total),
         Fraction(zero_cells, cell_total),
@@ -152,8 +191,7 @@ def _stats(t: CharacterTable, rows, used) -> StatRecord:
 
 def char_stats(t: CharacterTable, row: int) -> StatRecord:
     """Statistics of a single character (one table row)."""
-    values = t.rows[row]
-    return _stats(t, [values], dict.fromkeys(values))
+    return product_stats([(t, [t.rows[row]])])
 
 
 def group_stats(t: CharacterTable) -> StatRecord:
@@ -164,7 +202,7 @@ def group_stats(t: CharacterTable) -> StatRecord:
     carries the same total weight, this equals the mean of `char_stats`
     over rows; the test suite checks that coincidence explicitly.
     """
-    return _stats(t, t.rows, range(len(t.palette)))
+    return product_stats([(t, t.rows)])
 
 
 # ---------------------------------------------------------------------------

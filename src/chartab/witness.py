@@ -20,12 +20,14 @@ The scanner does not try each k.  The c1 term never decreases and the c2
 term never increases, so each bounds every later value from one side; it
 jumps to the first k that both bounds allow, and stops when k stays put.
 Each jump is a monotone test on one power, located by logarithms and
-decided exactly on cross-multiplied integers; the exact Fraction is built
-once, for the accepted k.
+decided exactly on cross-multiplied integers, first on 128-bit bounds of
+the powers and on the exact powers only when the bounds cannot tell; the
+exact Fraction is built once, for the accepted k.
 
 `verify_witness` recomputes a witness two ways: replaying the closed forms
 through `chartab.stats.compose`, and, when the expression is small enough,
-building the explicit product table and counting.  Disagreement raises.
+counting the explicit product table from its factor tables with
+`chartab.stats.product_stats`, without building it.  Disagreement raises.
 """
 
 from __future__ import annotations
@@ -41,17 +43,15 @@ from chartab.stats import (
     ClosedFormStats,
     StatKind,
     StatRecord,
-    char_stats,
     closed_form_stats,
     compose,
-    group_stats,
+    product_stats,
     render_decimal,
 )
 from chartab.tables import (
     Dihedral,
     Extraspecial2,
     FamilySpec,
-    Product,
     Psl2Even,
     build_table,
     describe_count,
@@ -148,6 +148,43 @@ class Witness:
         }
 
 
+_BOUND_BITS = 128
+
+
+def _pow_bound(x: int, j: int, up: bool) -> tuple[int, int]:
+    """(m, e) with m * 2^e <= x^j, or >= x^j when up; x >= 1.
+
+    Binary exponentiation that cuts every intermediate back to about
+    _BOUND_BITS bits, rounding down or up, so each cut keeps the bound on
+    its side and the cost does not grow with the bits of x^j.
+    """
+
+    def cut(m: int, e: int) -> tuple[int, int]:
+        shift = m.bit_length() - _BOUND_BITS
+        if shift <= 0:
+            return m, e
+        return (-(-m >> shift) if up else m >> shift), e + shift
+
+    m, e = 1, 0
+    base, be = cut(x, 0)
+    while j:
+        if j & 1:
+            m, e = cut(m * base, e + be)
+        j >>= 1
+        if j:
+            base, be = cut(base * base, 2 * be)
+    return m, e
+
+
+def _below(x: int, ex: int, y: int, ey: int) -> bool:
+    """x * 2^ex < y * 2^ey for x, y >= 1, shifting by at most a bit length."""
+    if ex >= ey:
+        d = ex - ey
+        return d < y.bit_length() and x << d < y
+    d = ey - ex
+    return d >= x.bit_length() or x < y << d
+
+
 def _first_below(c: int, r: int, a: int, b: int, k: int) -> int | None:
     """First j in [k, K_GUARD] with c*a^j < r*b^j, or None; k itself is
     always tried.  Needs c >= 0 and 0 <= a <= b, so c*(a/b)^j never grows
@@ -155,10 +192,19 @@ def _first_below(c: int, r: int, a: int, b: int, k: int) -> int | None:
 
     Every answer is decided on integers.  A guess by logarithms only says
     where to look: gallop away from it until the first hit is bracketed,
-    then bisect.
+    then bisect.  Each test first compares bounds on both powers
+    (`_pow_bound`) and builds the exact powers only when the bounds
+    overlap, so a probe near K_GUARD costs no K_GUARD-sized power.
     """
 
     def holds(j: int) -> bool:
+        if c > 0 and r > 0 and a > 0:
+            (ah, eah), (bl, ebl) = _pow_bound(a, j, True), _pow_bound(b, j, False)
+            if _below(c * ah, eah, r * bl, ebl):
+                return True
+            (al, eal), (bh, ebh) = _pow_bound(a, j, False), _pow_bound(b, j, True)
+            if not _below(c * al, eal, r * bh, ebh):
+                return False
         return c * a**j < r * b**j
 
     if holds(k):
@@ -508,9 +554,12 @@ def verify_witness(w: Witness) -> VerificationReport:
     nonzero fractions, the unit fraction is the product of per-factor unit
     fractions (all witness factors satisfy the multiplicativity
     hypothesis).  (b) When the expression has at most `VERIFY_CLASS_LIMIT`
-    classes and at most `VERIFY_CELL_LIMIT` table cells, build the explicit
-    product table and count, entry by entry.  Any disagreement with the
-    stored value raises; path (b) reports which guard fired when skipped.
+    classes and at most `VERIFY_CELL_LIMIT` table cells, count its explicit
+    product table from the factor tables (`product_stats`): every product
+    value is computed and classified exactly, so no multiplicativity is
+    assumed, but the product table is never built.  Any disagreement with
+    the stored value raises; path (b) reports which guard fired when
+    skipped.
     """
     kind = w.query.kind
     if not w.factors:
@@ -542,18 +591,16 @@ def verify_witness(w: Witness) -> VerificationReport:
             f"exceed the guard {VERIFY_CELL_LIMIT}"
         )
     else:
-        flat: list[FamilySpec] = []
-        names: list[str] = []
+        tables = {f: build_table(f) for f in {fct.family for fct in w.factors}}
+        factors = []
         for fct in w.factors:
-            flat.extend([fct.family] * fct.power)
-            if fct.character is not None:
-                names.extend([fct.character] * fct.power)
-        table = build_table(Product(tuple(flat)))
-        if w.query.scope is Scope.CHARACTER:
-            rec = char_stats(table, table.character_index("*".join(names)))
-        else:
-            rec = group_stats(table)
-        table_value = rec.get(kind)
+            t = tables[fct.family]
+            if w.query.scope is Scope.CHARACTER:
+                rows = [t.rows[t.character_index(fct.character)]]
+            else:
+                rows = t.rows
+            factors += [(t, rows)] * fct.power
+        table_value = product_stats(factors).get(kind)
         if table_value != w.value:
             raise WitnessInconsistencyError(
                 f"explicit table gives {table_value}, witness records {w.value}"

@@ -224,6 +224,18 @@ def test_witness_rejects_malformed_fraction(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--target", "--eps"])
+def test_witness_zero_denominator_is_a_usage_error(capsys, flag):
+    argv = {"--stat": "zI", "--scope": "group", "--target": "1/2", "--eps": "1/10"}
+    argv[flag] = "1/0"
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", *(x for pair in argv.items() for x in pair)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag}: invalid Fraction value: '1/0'\n")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # scan
 

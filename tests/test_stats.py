@@ -9,6 +9,7 @@ from chartab.stats import (
     char_stats,
     closed_form_stats,
     group_stats,
+    product_stats,
     render_decimal,
     theta_master,
     u_power,
@@ -25,6 +26,7 @@ from chartab.tables import (
     extraspecial2_table,
     product_table,
     psl2_even_table,
+    trivial_table,
 )
 
 
@@ -251,6 +253,53 @@ def test_u_multiplicativity_fails_in_general():
     assert factor_u == Fraction(1, 4)
     assert got == Fraction(57, 400)
     assert got != u_power(factor_u, 1) * u_power(factor_u, 1)
+
+
+# factored counts against the materialized product table: every family at
+# small parameters, one to four factors, powers and mixed families
+PRODUCTS = [
+    (Dihedral(1),),
+    (Dihedral(4),),
+    (Extraspecial2(2),),
+    (Psl2Even(3),),
+    (Dihedral(2), Dihedral(2)),
+    (Dihedral(3), Extraspecial2(1)),
+    (Psl2Even(2), Psl2Even(3)),
+    (Extraspecial2(1), Psl2Even(2)),
+    (Dihedral(2), Extraspecial2(1), Psl2Even(2)),
+    (Psl2Even(2),) * 3,
+    (Psl2Even(1), Dihedral(3), Psl2Even(1)),
+    (Extraspecial2(1),) * 4,
+    (Dihedral(1), Extraspecial2(1), Dihedral(2), Psl2Even(1)),
+]
+
+
+@pytest.mark.parametrize("specs", PRODUCTS, ids=str)
+def test_product_stats_match_the_materialized_table(specs):
+    product = build_table(Product(specs))
+    factors = [build_table(s) for s in specs]
+    assert product_stats([(t, t.rows) for t in factors]) == group_stats(product)
+    # one named row per factor: the first, a middle and the last of each
+    for pick in (0, 1, -1):
+        names = [t.character_names[pick] for t in factors]
+        rows = [[t.rows[t.character_index(name)]] for t, name in zip(factors, names)]
+        want = char_stats(product, product.character_index("*".join(names)))
+        assert product_stats(list(zip(factors, rows))) == want
+
+
+def test_product_stats_of_no_factors_is_the_trivial_group():
+    t = trivial_table()
+    assert product_stats([]) == group_stats(t) == char_stats(t, 0)
+
+
+def test_product_stats_do_not_assume_u_is_multiplicative():
+    # in PSL(2, 16)^2, (z5 + z5^-1)(z5^2 + z5^-2) = -1: two non-units
+    # multiply to a unit, so the product rule undercounts u
+    t = psl2_even_table(4)
+    rec = product_stats([(t, t.rows)] * 2)
+    assert rec == group_stats(build_table(Product((Psl2Even(4),) * 2)))
+    assert rec.u_elem == Fraction(71928043, 1603603200)
+    assert u_power(group_stats(t).u_elem, 2) == Fraction(200987329, 4810809600)
 
 
 def test_theta_master_frozen():

@@ -3,16 +3,18 @@
 import dataclasses
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from chartab import witness
+from chartab import tables, witness
 from chartab.cli import main
-from chartab.stats import StatKind, render_decimal
-from chartab.tables import Dihedral, Extraspecial2, Psl2Even
+from chartab.stats import StatKind, char_stats, group_stats, render_decimal
+from chartab.tables import Dihedral, Extraspecial2, Product, Psl2Even, build_table
 from chartab.witness import (
     Scope,
+    VerificationReport,
     Witness,
     WitnessDomainError,
     WitnessFactor,
@@ -27,6 +29,7 @@ from chartab.witness import (
 )
 
 from scan_reference import reference_scan_sequence
+from test_acceptance import _full_grid
 
 TENTH = Fraction(1, 10)
 HUNDREDTH = Fraction(1, 100)
@@ -343,6 +346,53 @@ def test_verify_grid(eps):
             verify_witness(witness_global(kind, tgt, eps))
 
 
+# the product witnesses of the benchmark's certify jobs, two to four factors
+PRODUCT_CERTIFY = [
+    (StatKind.Z_ELEM, Scope.CHARACTER, "1/2", "1/4"),
+    (StatKind.Z_CLASS, Scope.CHARACTER, "1/2", "1/4"),
+    (StatKind.Z_CLASS, Scope.GROUP, "1/2", "1/4"),
+    (StatKind.Z_CLASS, Scope.GROUP, "1/2", "1/8"),
+    (StatKind.U_ELEM, Scope.GROUP, "1/4", "1/4"),
+    (StatKind.U_CLASS, Scope.GROUP, "1/4", "1/4"),
+    (StatKind.THETA_ELEM, Scope.CHARACTER, "7/8", "1/4"),
+    (StatKind.THETA_CLASS, Scope.CHARACTER, "1/2", "1/4"),
+]
+
+
+def _materialized_value(w):
+    """The witness statistic counted on the explicit product table."""
+    specs, names = [], []
+    for f in w.factors:
+        specs += [f.family] * f.power
+        names += [f.character] * f.power
+    t = build_table(Product(tuple(specs)))
+    if w.query.scope is Scope.CHARACTER:
+        return char_stats(t, t.character_index("*".join(names))).get(w.query.kind)
+    return group_stats(t).get(w.query.kind)
+
+
+def test_verify_never_builds_the_product_table(monkeypatch):
+    products = [find_witness(*query) for query in PRODUCT_CERTIFY]
+    assert {sum(f.power for f in w.factors) for w in products} == {2, 3, 4}
+    want = [_materialized_value(w) for w in products]
+
+    def refuse(a, b):
+        raise AssertionError("verify_witness built a product table")
+
+    monkeypatch.setattr(tables, "product_table", refuse)
+    for w, value in zip(products, want):
+        assert verify_witness(w) == VerificationReport(w.value, w.value, value, None)
+    # criterion 7's grid: a table-checked report carries the witness value
+    # three times, or verification would have raised
+    checked = 0
+    for w in _full_grid():
+        report = verify_witness(w)
+        if report.table_skipped is None:
+            assert report == VerificationReport(w.value, w.value, w.value, None)
+            checked += 1
+    assert checked == 12
+
+
 # ---------------------------------------------------------------------------
 # the skip-ahead scan against the linear walk it replaced
 
@@ -458,6 +508,36 @@ def test_scan_that_never_enters_the_band_hits_the_k_guard():
     assert str(exc.value) == (
         f"witness scan passed the k guard {witness.K_GUARD}; epsilon is too small"
     )
+
+
+@pytest.mark.parametrize("scope, eps", [("character", "1/10000000"), ("group", "1e-400")])
+def test_k_guard_is_decided_without_guard_sized_powers(capsys, scope, eps):
+    # the first hit sits past K_GUARD (near k = 11.6M at character scope,
+    # near 7e399 at group scope, where the step ratio has 2661 bits); the
+    # exact powers a^j near K_GUARD run to hundreds of megabytes
+    started = time.perf_counter()
+    argv = ["witness", "--stat", "zI", "--scope", scope, "--target", "1/2", "--eps", eps]
+    assert main(argv) == 1
+    assert time.perf_counter() - started < 20
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"chartab: witness scan passed the k guard {witness.K_GUARD}; epsilon is too small\n"
+
+
+def test_power_bounds_bracket_the_exact_power():
+    rng = random.Random(11)
+    for _ in range(400):
+        x = rng.choice([1, 2, rng.randint(1, 2**20), rng.randint(2**100, 2**1000)])
+        j = rng.choice([0, 1, rng.randint(0, 40), rng.randint(0, 500)])
+        exact = x**j
+        lo, elo = witness._pow_bound(x, j, False)
+        hi, ehi = witness._pow_bound(x, j, True)
+        assert lo << elo <= exact <= hi << ehi
+        assert (hi << ehi) - (lo << elo) << 100 <= exact  # about 128 bits kept
+    for _ in range(400):
+        x, y = rng.randint(1, 2**70), rng.randint(1, 2**70)
+        ex, ey = rng.randint(0, 150), rng.randint(0, 150)
+        assert witness._below(x, ex, y, ey) == (x << ex < y << ey)
 
 
 # ---------------------------------------------------------------------------
