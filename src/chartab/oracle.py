@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 
 from chartab.exactnum import canonicalize
 from chartab.tables import (
@@ -111,8 +112,13 @@ def format_perm_group(group: PermGroup) -> str:
 
 
 def _mul(p: Perm, q: Perm) -> Perm:
-    """Left-to-right function composition: apply q, then p."""
-    return tuple(p[i] for i in q)
+    """Left-to-right function composition: apply q, then p.
+
+    `itemgetter` indexes in C; with one index it returns a bare int, so
+    degree 1 (only the identity) is answered directly."""
+    if len(q) == 1:
+        return p
+    return itemgetter(*q)(p)
 
 
 def _invert(p: Perm) -> Perm:

@@ -28,12 +28,15 @@ evaluator:
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import chain
 from math import gcd
+from operator import itemgetter
 
 from chartab.exactnum import Cyclotomic, Rational, ValueClass, classify_value
 from chartab.tables import (
@@ -124,15 +127,28 @@ def _record(z_elem, z_class, u_elem, u_class) -> StatRecord:
 
 
 def _histogram(t: CharacterTable, rows) -> list[tuple[Cyclotomic, int, int]]:
-    """(value, cells, class-size sum) per palette entry the rows use, in one
-    pass over their cells."""
-    sizes = [c.size for c in t.classes]
+    """(value, cells, class-size sum) per palette entry the rows use, in
+    palette order.
+
+    The class columns are grouped by class size (each family has two to
+    four sizes), and each group's cells are counted in one `Counter` pass
+    over the rows, which runs in C; Python then works once per (size,
+    palette entry) pair, never per cell."""
+    by_size: dict[int, list[int]] = {}
+    for j, c in enumerate(t.classes):
+        by_size.setdefault(c.size, []).append(j)
     cells = [0] * len(t.palette)
     elems = [0] * len(t.palette)
-    for row in rows:
-        for x, size in zip(row, sizes):
-            cells[x] += 1
-            elems[x] += size
+    for size, cols in by_size.items():
+        if len(cols) == t.num_classes:
+            counts = Counter(chain.from_iterable(rows))
+        elif len(cols) == 1:
+            counts = Counter(map(itemgetter(cols[0]), rows))
+        else:
+            counts = Counter(chain.from_iterable(map(itemgetter(*cols), rows)))
+        for x, n in counts.items():
+            cells[x] += n
+            elems[x] += n * size
     return [(v, n, m) for v, n, m in zip(t.palette, cells, elems) if n]
 
 
@@ -146,12 +162,12 @@ def product_stats(factors: Iterable[tuple[CharacterTable, Sequence[Sequence[int]
     product's cells holding a value v number the sum, over the tuples of
     factor entries whose product is v, of the product of their cell counts,
     and likewise for class-size sums.  So each factor reduces to its
-    `_histogram`, and the fold multiplies each distinct partial value by
-    each entry of the next factor once, exactly, merging equal products by
-    `Cyclotomic.key()`.  Each distinct final value is classified once: no
-    multiplicativity of u is assumed, and it fails in general (in
-    PSL(2, 16)^2, (z5 + z5^-1)(z5^2 + z5^-2) = -1).  No factors is the
-    trivial group.
+    `_histogram`, whose per-cell counting runs in C builtins, and the fold
+    multiplies each distinct partial value by each entry of the next factor
+    once, exactly, merging equal products by `Cyclotomic.key()`.  Each
+    distinct final value is classified once: no multiplicativity of u is
+    assumed, and it fails in general (in PSL(2, 16)^2,
+    (z5 + z5^-1)(z5^2 + z5^-2) = -1).  No factors is the trivial group.
     """
     counts = None
     pair_total = cell_total = 1

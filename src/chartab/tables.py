@@ -405,6 +405,14 @@ def extraspecial2_table(n: int) -> CharacterTable:
     orders.  Characters: ``2**(2n)`` linear ones indexed by ``w``, with
     value ``(-1)**(w . v)``, and the single faithful character of degree
     ``2**n`` supported on the center.
+
+    The linear rows are the Sylvester-Hadamard matrix, built by doubling
+    and never per cell: if ``S_d[w][v] = (-1)**(w . v)`` over ``d`` bits,
+    then adding a top bit ``b`` to ``w`` and ``c`` to ``v`` multiplies the
+    sign by ``(-1)**(b c)``, so ``S_(d+1)`` is ``[[S_d, S_d], [S_d, -S_d]]``:
+    row ``s`` of ``S_d`` becomes ``s + s`` and ``s + flip(s)``.  Column
+    ``v = 0`` of ``S_(2n)`` is the class ``z``, on which every linear
+    character is 1.
     """
     _check_positive(n, "n")
     dim = 2 * n
@@ -416,14 +424,12 @@ def extraspecial2_table(n: int) -> CharacterTable:
     deg = Cyclotomic.from_rational(2**n)
     palette = (Cyclotomic.one(), Cyclotomic.from_rational(-1), deg, -deg, Cyclotomic.zero())
     ONE, NEG, DEG, NEG_DEG, ZERO = range(5)
-    names = []
-    rows = []
-    for w in range(2**dim):
-        names.append(f"lin{w:0{dim}b}")
-        rows.append(
-            (ONE, ONE)
-            + tuple(NEG if bin(w & v).count("1") & 1 else ONE for v in range(1, 2**dim))
-        )
+    signs = [(ONE,)]
+    for _ in range(dim):
+        flipped = [tuple(map((NEG, ONE).__getitem__, s)) for s in signs]
+        signs = [s + s for s in signs] + [s + f for s, f in zip(signs, flipped)]
+    names = [f"lin{w:0{dim}b}" for w in range(2**dim)]
+    rows = [(ONE,) + s for s in signs]
     names.append("faithful")
     rows.append((DEG, NEG_DEG) + (ZERO,) * (2**dim - 1))
 

@@ -9,6 +9,7 @@ from chartab.oracle import (
     GroupTooLargeError,
     PermGroup,
     _eigenvalues,
+    _mul,
     builtin_perm_group,
     compare_tables,
     dixon_character_table,
@@ -180,6 +181,17 @@ DIFFERENTIAL_CORPUS = [
     builtin_perm_group(Product((Dihedral(2), Psl2Even(2)))),
     builtin_perm_group(Product((Extraspecial2(1), Dihedral(3)))),
 ]
+
+
+def test_mul_matches_the_generator_composition():
+    rng = random.Random(11)
+    for degree in range(1, 21):
+        for _ in range(20):
+            p = tuple(rng.sample(range(degree), degree))
+            q = tuple(rng.sample(range(degree), degree))
+            assert _mul(p, q) == tuple(p[i] for i in q)
+            assert type(_mul(p, q)) is tuple
+    assert dixon_character_table(PermGroup(1, ((0,),))).rows == ((0,),)
 
 
 @pytest.mark.parametrize("group", DIFFERENTIAL_CORPUS, ids=lambda g: f"deg{g.degree}")
