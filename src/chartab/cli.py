@@ -116,31 +116,6 @@ def _emit_json(doc) -> None:
 # table
 
 
-def _render_table_json(t: CharacterTable) -> str:
-    """`json.dumps(t.to_json(), indent=2)`, byte for byte, with the JSON
-    encoder run once per palette entry rather than once per cell.
-
-    A cell of a character row sits at depth 4 (document, "characters",
-    character, "values"), so its indented text is the palette entry's own
-    indented text with every line shifted by 8 spaces; a row is those texts
-    joined as the encoder joins list items."""
-    doc = t.to_json()  # the one definition of the document's fields
-    if not t.rows:
-        return json.dumps(doc, indent=2)
-    del doc["characters"]
-    pad = "\n" + " " * 8
-    text = [json.dumps(v.to_json(), indent=2).replace("\n", pad) for v in t.palette]
-    sep = "," + pad
-    body = ",\n".join(
-        f'    {{\n      "name": {json.dumps(name)},\n      "values": '
-        + (f"[{pad}{sep.join(map(text.__getitem__, row))}\n      ]" if row else "[]")
-        + "\n    }"
-        for name, row in zip(t.character_names, t.rows)
-    )
-    head = json.dumps(doc, indent=2)[: -len("\n}")]
-    return f'{head},\n  "characters": [\n{body}\n  ]\n}}'
-
-
 def _render_table_pretty(t: CharacterTable) -> str:
     head = ["", *(c.name for c in t.classes)]
     grid = [
@@ -161,7 +136,7 @@ def _render_table_pretty(t: CharacterTable) -> str:
 def _cmd_table(args) -> int:
     t = build_table(_family_spec(args.family, args.param))
     if args.format == "json":
-        _emit(_render_table_json(t))
+        _emit(t.to_json_text())
     else:
         _emit(_render_table_pretty(t))
     return 0

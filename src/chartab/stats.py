@@ -140,9 +140,7 @@ def _histogram(t: CharacterTable, rows) -> list[tuple[Cyclotomic, int, int]]:
     cells = [0] * len(t.palette)
     elems = [0] * len(t.palette)
     for size, cols in by_size.items():
-        if len(cols) == t.num_classes:
-            counts = Counter(chain.from_iterable(rows))
-        elif len(cols) == 1:
+        if len(cols) == 1:  # itemgetter of one index returns a bare value
             counts = Counter(map(itemgetter(cols[0]), rows))
         else:
             counts = Counter(chain.from_iterable(map(itemgetter(*cols), rows)))

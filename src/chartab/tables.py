@@ -29,6 +29,7 @@ against independently computed tables.
 
 from __future__ import annotations
 
+import json
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -160,6 +161,31 @@ class CharacterTable:
                 for name, row in zip(self.character_names, self.rows)
             ],
         }
+
+    def to_json_text(self) -> str:
+        """`json.dumps(self.to_json(), indent=2)`, byte for byte, with the
+        JSON encoder run once per palette entry rather than once per cell.
+
+        A value of a character sits at depth 4 (document, "characters",
+        character, "values"), so its indented text is the palette entry's own
+        indented text with every line shifted by 8 spaces; a row is those
+        texts joined as the encoder joins list items.  The fields above
+        "characters" are dumped from `to_json`."""
+        doc = self.to_json()
+        if not self.rows:
+            return json.dumps(doc, indent=2)
+        del doc["characters"]
+        pad = "\n" + " " * 8
+        text = [json.dumps(v.to_json(), indent=2).replace("\n", pad) for v in self.palette]
+        sep = "," + pad
+        body = ",\n".join(
+            f'    {{\n      "name": {json.dumps(name)},\n      "values": '
+            + (f"[{pad}{sep.join(map(text.__getitem__, row))}\n      ]" if row else "[]")
+            + "\n    }"
+            for name, row in zip(self.character_names, self.rows)
+        )
+        head = json.dumps(doc, indent=2)[: -len("\n}")]
+        return f'{head},\n  "characters": [\n{body}\n  ]\n}}'
 
     @staticmethod
     def from_json(doc: dict) -> "CharacterTable":

@@ -13,7 +13,7 @@ from cell_reference import (
     reference_table_json,
 )
 
-from chartab.cli import _render_table_json, main
+from chartab.cli import main
 from chartab.exactnum import Cyclotomic
 from chartab.oracle import builtin_perm_group, dixon_character_table
 from chartab.stats import _histogram
@@ -89,7 +89,7 @@ CATALOG_TABLES = [
 @pytest.mark.parametrize("spec", CATALOG_TABLES, ids=repr)
 def test_table_json_matches_the_reference_on_the_catalog(spec):
     t = build_table(spec)
-    assert _lines(_render_table_json(t)) == _lines(reference_table_json(t))
+    assert _lines(t.to_json_text()) == _lines(reference_table_json(t))
 
 
 @pytest.mark.parametrize(
@@ -106,7 +106,7 @@ def test_table_json_matches_the_reference_on_the_catalog(spec):
 )
 def test_table_json_matches_the_reference(make):
     t = make()
-    assert _lines(_render_table_json(t)) == _lines(reference_table_json(t))
+    assert _lines(t.to_json_text()) == _lines(reference_table_json(t))
 
 
 def test_table_command_prints_the_reference_json(capsys):
