@@ -71,7 +71,8 @@ _FAMILIES = {
     "psl2even": Psl2Even,
 }
 
-_STAT_FLAGS = ["zI", "zII", "uI", "uII", "theta", "thetaII"]
+_STAT_FLAGS = [kind.value for kind in StatKind]
+_SCOPES = [scope.value for scope in Scope]
 
 
 def _family_spec(name: str, param: int) -> FamilySpec:
@@ -389,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_witness = sub.add_parser("witness", help="search for a statistic witness")
     p_witness.add_argument("--stat", choices=_STAT_FLAGS, required=True)
-    p_witness.add_argument("--scope", choices=["character", "group"], required=True)
+    p_witness.add_argument("--scope", choices=_SCOPES, required=True)
     p_witness.add_argument("--target", type=_fraction, required=True)
     p_witness.add_argument("--eps", type=_fraction, required=True)
     _add_format(p_witness, ["json", "pretty"])
@@ -397,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="tabulate a statistic along powers of a family")
     p_scan.add_argument("--stat", choices=_STAT_FLAGS, required=True)
-    p_scan.add_argument("--scope", choices=["character", "group"], required=True)
+    p_scan.add_argument("--scope", choices=_SCOPES, required=True)
     p_scan.add_argument("--family-params", type=_parse_family_params, required=True)
     p_scan.add_argument("--kmax", type=int, required=True)
     _add_format(p_scan, ["json", "csv", "pretty"])

@@ -48,7 +48,7 @@ class ValueClass(Enum):
     OTHER = "other"
 
 
-def _factorize(n: int) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; fine at the sizes used here."""
     out: dict[int, int] = {}
     d = 2
@@ -67,7 +67,7 @@ def totient(n: int) -> int:
     if n < 1:
         raise InvalidConductorError(f"conductor must be a positive integer, got {n}")
     result = 1
-    for p, a in _factorize(n).items():
+    for p, a in factorize(n).items():
         result *= (p - 1) * p ** (a - 1)
     return result
 
@@ -117,7 +117,7 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
         return (-1, 1)
     if n == 2:
         return (1, 1)
-    fac = _factorize(n)
+    fac = factorize(n)
     rad = 1
     for p in fac:
         rad *= p

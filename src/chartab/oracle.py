@@ -26,7 +26,8 @@ d x d restriction (O(d^3), then O(p d) to find the roots in F_p) and
 runs one kernel per eigenvalue.  The lift runs once per conjugacy class
 of cyclic subgroups, as a transform of length o = the order of its
 generator, O(o^2) per character, instead of one transform of length e
-per class.
+per class; the classes of the powers g^t it reads are found by
+multiplying the representative g, o - 1 permutation products.
 
 `compare_tables` decides whether two tables differ only by relabeling of
 classes and characters, which is the honest notion of equality between a
@@ -38,10 +39,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import itemgetter
 
-from chartab.exactnum import canonicalize
+from chartab.exactnum import canonicalize, factorize
 from chartab.tables import (
     CharacterTable,
     ClassInfo,
@@ -51,6 +52,7 @@ from chartab.tables import (
     InvalidParameterError,
     Product,
     Psl2Even,
+    _check_positive,
     env_limit,
     validate_table,
 )
@@ -144,28 +146,19 @@ def _perm_order(p: Perm) -> int:
     return order
 
 
-def _perm_power(p: Perm, m: int) -> Perm:
-    result = tuple(range(len(p)))
-    base = p
-    while m:
-        if m & 1:
-            result = _mul(result, base)
-        base = _mul(base, base)
-        m >>= 1
-    return result
-
-
 # ---------------------------------------------------------------------------
 # enumeration and conjugacy classes
 
 
 @dataclass(frozen=True)
 class ClassData:
+    """Conjugacy classes in canonical order; class_of sends each element
+    to its class, so the class of a power of a representative is one lookup."""
+
     group_order: int
     representatives: tuple[Perm, ...]
     sizes: tuple[int, ...]
     element_orders: tuple[int, ...]
-    power_maps: dict[int, tuple[int, ...]]
     class_of: dict[Perm, int]
 
     @property
@@ -202,17 +195,6 @@ def _enumerate_elements(group: PermGroup) -> set[Perm]:
                     fresh.append(y)
         frontier = fresh
     return seen
-
-
-def _primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
 
 
 def enumerate_and_classify(group: PermGroup) -> ClassData:
@@ -259,17 +241,11 @@ def enumerate_and_classify(group: PermGroup) -> ClassData:
     sizes = tuple(item[3] for item in keyed)
     orders = tuple(_perm_order(rep) for rep in reps)
     class_of = {x: renumber[i] for x, i in class_of.items()}
-
-    power_maps = {
-        p: tuple(class_of[_perm_power(rep, p)] for rep in reps)
-        for p in _primes_up_to(lcm(*orders))
-    }
     return ClassData(
         group_order=len(elements),
         representatives=reps,
         sizes=sizes,
         element_orders=orders,
-        power_maps=power_maps,
         class_of=class_of,
     )
 
@@ -458,43 +434,20 @@ def _common_eigenvectors(mats, p: int):
 # the modular character table algorithm
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 def _candidate_primes(exponent: int, group_order: int, count: int):
     found = 0
     p = 1
     while found < count:
         p += exponent
-        if p * p > 4 * group_order and _is_prime(p):
+        if p * p > 4 * group_order and factorize(p) == {p: 1}:
             found += 1
             yield p
 
 
 def _primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    factors = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
-    for w in range(2, p):
-        if all(pow(w, (p - 1) // f, p) != 1 for f in factors):
-            return w
-    raise RuntimeError(f"no primitive root mod {p}")  # unreachable for prime p
+    """The least generator of the units mod the prime p (1 for p = 2)."""
+    factors = factorize(p - 1)
+    return next(w for w in range(1, p) if all(pow(w, (p - 1) // f, p) != 1 for f in factors))
 
 
 def _structure_constants(data: ClassData) -> list[list[tuple[int, int, int]]]:
@@ -516,22 +469,22 @@ def _cyclic_subgroup_classes(data: ClassData):
     """One entry per conjugacy class of cyclic subgroups <g>.
 
     Each entry is (seq, members): seq[t] is the class of g^t for t below
-    the order o of g, read off the power maps, and members lists (k, a) for
-    every class k whose representative is conjugate to g^a with
-    gcd(a, o) = 1, with the smallest such a.
+    the order o of g, read by multiplying the representative g (o - 1
+    products), and members lists (k, a) for every class k whose
+    representative is conjugate to g^a with gcd(a, o) = 1, with the
+    smallest such a.
     """
-    r = data.num_classes
-    primes = list(data.power_maps)
-    claimed = [False] * r
+    claimed = [False] * data.num_classes
     out = []
-    for k in range(r):
+    for k, g in enumerate(data.representatives):
         if claimed[k]:
             continue
         o = data.element_orders[k]
-        seq = [0, k][:o]  # g^0 is the identity, class 0
-        for a in range(2, o):
-            q = next(q for q in primes if a % q == 0)
-            seq.append(data.power_maps[q][seq[a // q]])
+        seq = [0]  # g^0 is the identity, class 0
+        power = g
+        for _ in range(1, o):
+            seq.append(data.class_of[power])
+            power = _mul(power, g)
         members = []
         for a in range(o):
             if gcd(a, o) == 1 and not claimed[seq[a]]:
@@ -668,17 +621,12 @@ def _gf2poly_mod(a: int, m: int) -> int:
 
 
 def _gf2_irreducible(r: int) -> int:
-    # brute force is fine: r stays small and the scan runs once per call
-    for candidate in range(1 << r, 1 << (r + 1)):
-        if not candidate & 1:
-            continue
-        if all(
-            _gf2poly_mod(candidate, q)
-            for d in range(1, r // 2 + 1)
-            for q in range(1 << d, 1 << (d + 1))
-        ):
-            return candidate
-    raise RuntimeError(f"no irreducible polynomial of degree {r}")  # unreachable
+    # brute force is fine: r stays small and the scan runs once per call;
+    # the least odd polynomial of degree r with no factor of degree <= r/2
+    factors = range(2, 1 << (r // 2 + 1))
+    return next(
+        c for c in range((1 << r) + 1, 1 << (r + 1), 2) if all(_gf2poly_mod(c, f) for f in factors)
+    )
 
 
 def _gf_mul(a: int, b: int, modpoly: int) -> int:
@@ -723,17 +671,13 @@ def _psl2_perm_group(r: int) -> PermGroup:
 
     gens = [moebius(1, 1, 0, 1), moebius(0, 1, 1, 0)]
     if q > 2:
-        # a multiplicative generator; conjugating the translation by its
-        # powers reaches every translation, since squaring is onto
-        gen = None
-        for g in range(2, q):
-            x, steps = g, 1
-            while x != 1:
-                x = mul(x, g)
-                steps += 1
-            if steps == q - 1:
-                gen = g
-                break
+        # the least multiplicative generator; conjugating the translation by
+        # its powers reaches every translation, since squaring is onto
+        primes = factorize(q - 1)
+        gen = next(
+            g for g in range(2, q)
+            if all(_gf_pow(g, (q - 1) // f, modpoly) != 1 for f in primes)
+        )
         gens.append(moebius(gen, 0, 0, inv(gen)))
     return PermGroup(q + 1, tuple(gens))
 
@@ -767,8 +711,7 @@ def builtin_perm_group(spec: FamilySpec) -> PermGroup:
     points.
     """
     if isinstance(spec, Dihedral):
-        if spec.n < 1:
-            raise InvalidParameterError(f"n must be a positive integer, got {spec.n}")
+        _check_positive(spec.n, "n")
         if spec.n == 1:
             return PermGroup(4, ((1, 0, 2, 3), (0, 1, 3, 2)))
         m = 1 << spec.n
@@ -776,12 +719,10 @@ def builtin_perm_group(spec: FamilySpec) -> PermGroup:
         reflect = tuple(-i % m for i in range(m))
         return PermGroup(m, (rotate, reflect))
     if isinstance(spec, Extraspecial2):
-        if spec.n < 1:
-            raise InvalidParameterError(f"n must be a positive integer, got {spec.n}")
+        _check_positive(spec.n, "n")
         return _extraspecial_perm_group(spec.n)
     if isinstance(spec, Psl2Even):
-        if spec.r < 1:
-            raise InvalidParameterError(f"r must be a positive integer, got {spec.r}")
+        _check_positive(spec.r, "r")
         return _psl2_perm_group(spec.r)
     if isinstance(spec, Product):
         parts = [builtin_perm_group(f) for f in spec.factors]

@@ -47,6 +47,7 @@ from chartab.tables import (
     InvalidParameterError,
     Product,
     Psl2Even,
+    _check_positive,
 )
 
 K_MAX_LIMIT = 10**6
@@ -358,23 +359,20 @@ def closed_form_stats(spec: FamilySpec) -> ClosedFormStats:
     single-family records with the product rules instead.
     """
     if isinstance(spec, Dihedral):
-        if spec.n < 1:
-            raise InvalidParameterError(f"n must be >= 1, got {spec.n}")
+        _check_positive(spec.n, "n")
         group = partial(_dihedral_group_record, spec.n)
         if spec.n == 1:
             return ClosedFormStats(group, None, None)
         return ClosedFormStats(group, "rot1", _dihedral_char_record(spec.n))
     if isinstance(spec, Extraspecial2):
-        if spec.n < 1:
-            raise InvalidParameterError(f"n must be >= 1, got {spec.n}")
+        _check_positive(spec.n, "n")
         return ClosedFormStats(
             partial(_extraspecial_group_record, spec.n),
             "faithful",
             _extraspecial_faithful_record(spec.n),
         )
     if isinstance(spec, Psl2Even):
-        if spec.r < 1:
-            raise InvalidParameterError(f"r must be >= 1, got {spec.r}")
+        _check_positive(spec.r, "r")
         return ClosedFormStats(
             partial(_psl2_group_record, spec.r), "steinberg", _steinberg_record(spec.r)
         )

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import gcd, lcm
@@ -270,13 +271,13 @@ def spec_class_count(spec: FamilySpec) -> int:
     """Number of conjugacy classes, computed without building the table."""
     if isinstance(spec, Dihedral):
         _check_positive(spec.n, "n")
-        return 2 ** (spec.n - 1) + 3
+        return (1 << (spec.n - 1)) + 3
     if isinstance(spec, Extraspecial2):
         _check_positive(spec.n, "n")
-        return 2 ** (2 * spec.n) + 1
+        return (1 << (2 * spec.n)) + 1
     if isinstance(spec, Psl2Even):
         _check_positive(spec.r, "r")
-        return 2**spec.r + 1
+        return (1 << spec.r) + 1
     if isinstance(spec, Product):
         count = 1
         for f in spec.factors:
@@ -286,13 +287,16 @@ def spec_class_count(spec: FamilySpec) -> int:
 
 
 def spec_group_order(spec: FamilySpec) -> int:
+    """Group order, computed without building anything."""
     if isinstance(spec, Dihedral):
-        return 2 ** (spec.n + 1)
+        _check_positive(spec.n, "n")
+        return 1 << (spec.n + 1)
     if isinstance(spec, Extraspecial2):
-        return 2 ** (2 * spec.n + 1)
+        _check_positive(spec.n, "n")
+        return 1 << (2 * spec.n + 1)
     if isinstance(spec, Psl2Even):
-        q = 2**spec.r
-        return q**3 - q
+        _check_positive(spec.r, "r")
+        return (1 << (3 * spec.r)) - (1 << spec.r)
     if isinstance(spec, Product):
         order = 1
         for f in spec.factors:
@@ -345,14 +349,12 @@ def trivial_table() -> CharacterTable:
 
 
 def _cosine_pairs(
-    conductor: int, sign: int, palette: list[Cyclotomic], exponents: list[int] | None = None
+    conductor: int, sign: int, palette: list[Cyclotomic], exponents: Sequence[int]
 ) -> list[int]:
-    """Append ``sign * (zeta**e + zeta**-e)`` for ``e = 0..conductor // 2``
-    (in the order of ``exponents``, if given) and ``zeta = zeta_conductor``
-    to ``palette``; return, per exponent mod the conductor, the palette
-    index of its value (``-e`` shares ``e``'s)."""
-    if exponents is None:
-        exponents = range(conductor // 2 + 1)
+    """Append ``sign * (zeta**e + zeta**-e)`` for each ``e`` of ``exponents``
+    (``0..conductor // 2`` in some order) and ``zeta = zeta_conductor`` to
+    ``palette``; return, per exponent mod the conductor, the palette index
+    of its value (``-e`` shares ``e``'s)."""
     slot = {e: len(palette) + i for i, e in enumerate(exponents)}
     palette.extend(
         canonicalize(conductor, {e: sign, -e: sign} if e else {0: 2 * sign})
@@ -507,12 +509,12 @@ def psl2_even_table(r: int) -> CharacterTable:
         (ONE,) * (q + 1),
         (STEINBERG, ZERO) + (ONE,) * n_split + (NEG,) * n_nonsplit,
     ]
-    at = _cosine_pairs(q - 1, 1, palette)
+    at = _cosine_pairs(q - 1, 1, palette, range((q - 1) // 2 + 1))
     for j in range(1, n_split + 1):
         names.append(f"principal{j}")
         block = tuple(at[j * l % (q - 1)] for l in range(1, n_split + 1))
         rows.append((PRINCIPAL, ONE) + block + (ZERO,) * n_nonsplit)
-    at = _cosine_pairs(q + 1, -1, palette)
+    at = _cosine_pairs(q + 1, -1, palette, range((q + 1) // 2 + 1))
     for m in range(1, n_nonsplit + 1):
         names.append(f"discrete{m}")
         block = tuple(at[m * k % (q + 1)] for k in range(1, n_nonsplit + 1))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -361,6 +362,23 @@ def test_scan_bad_family_params(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "family, name", [("dihedral", "n"), ("extraspecial2", "n"), ("psl2even", "r")]
+)
+def test_every_command_refuses_a_bad_parameter_alike(capsys, family, name, value):
+    # scan reads the closed forms, verify the group order first, table and
+    # stats the class count: one rule and one message for all four
+    want = (1, "", f"chartab: {name} must be a positive integer, got {value}\n")
+    scan = [
+        "scan", "--stat", "zI", "--scope", "group",
+        "--family-params", f"{family}:{value}", "--kmax", "1",
+    ]
+    for argv in (["table", family, value], ["stats", family, value],
+                 ["verify", family, value], scan):
+        assert run(capsys, *argv) == want, argv
+
+
 def test_csv_is_scan_only(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stats", "dihedral", "2", "--format", "csv"])
@@ -467,6 +485,17 @@ def test_class_guard_line_stays_short(capsys, argv, bits):
     assert err.startswith(f"chartab: table would have at least 2^{bits} classes, above the guard")
     assert err.count("\n") == 1
     assert len(err) < 200
+
+
+def test_class_guard_refuses_a_huge_parameter_fast(capsys):
+    # 2^(10^9 - 1) + 3 classes: the count is built by a shift (125 MB), not by
+    # repeated squaring, which took seconds
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", "dihedral", "1000000000")
+    assert time.perf_counter() - start < 3
+    assert (code, out) == (1, "")
+    assert err.startswith("chartab: table would have at least 2^999999999 classes, above the guard")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

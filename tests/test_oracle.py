@@ -8,6 +8,7 @@ from oracle_reference import reference_character_table, reference_eigenvalues
 from chartab.oracle import (
     GroupTooLargeError,
     PermGroup,
+    _cyclic_subgroup_classes,
     _eigenvalues,
     _mul,
     builtin_perm_group,
@@ -68,16 +69,25 @@ def test_classification_ignores_generator_presentation():
     a, b = enumerate_and_classify(A5), enumerate_and_classify(other)
     assert a.representatives == b.representatives
     assert a.sizes == b.sizes
-    assert a.power_maps == b.power_maps
+    assert _cyclic_subgroup_classes(a) == _cyclic_subgroup_classes(b)
 
 
 def test_power_maps_a5():
-    data = enumerate_and_classify(A5)
-    assert set(data.power_maps) == {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
-    # squaring swaps the two classes of 5-cycles and kills the involutions
-    assert data.power_maps[2] == (0, 2, 1, 0, 4)
-    assert data.power_maps[5] == (0, 0, 0, 3, 4)
-    assert data.power_maps[3] == (0, 2, 1, 3, 0)
+    # classes: identity, two of 5-cycles, involutions, 3-cycles; one entry
+    # (classes of g^t, (class, a) for each generator g^a) per cyclic subgroup
+    cyclic = _cyclic_subgroup_classes(enumerate_and_classify(A5))
+    assert cyclic == [
+        ([0], [(0, 0)]),
+        ([0, 1, 2, 2, 1], [(1, 1), (2, 2)]),
+        ([0, 3], [(3, 1)]),
+        ([0, 4, 4], [(4, 1)]),
+    ]
+    five, involution, three = (seq for seq, _ in cyclic[1:])
+    # squaring swaps the two classes of 5-cycles: g^2 in class 2, g^4 in class 1
+    assert (five[2], five[4]) == (2, 1)
+    # involutions square to the identity; the 3-cycle class is closed under squaring
+    assert involution[2 % 2] == 0
+    assert three[2] == 4
 
 
 def test_class_of_covers_the_group():

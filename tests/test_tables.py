@@ -249,6 +249,24 @@ def test_spec_counts_and_orders():
     assert spec_group_order(p) == 48
 
 
+def test_spec_counts_and_orders_match_the_tables():
+    for spec in [*(f(k) for f in (Dihedral, Extraspecial2, Psl2Even) for k in range(1, 5)),
+                 Product((Extraspecial2(1), Psl2Even(2)))]:
+        t = build_table(spec)
+        assert (spec_class_count(spec), spec_group_order(spec)) == (t.num_classes, t.group_order)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Dihedral(0), Extraspecial2(-1), Psl2Even(-1), Product((Dihedral(2), Psl2Even(0)))],
+    ids=repr,
+)
+def test_size_functions_and_realizations_share_the_parameter_rule(spec):
+    for entry in (spec_class_count, spec_group_order, builtin_perm_group):
+        with pytest.raises(InvalidParameterError, match=r"^[nr] must be a positive integer, got"):
+            entry(spec)
+
+
 def test_spec_json_round_trip():
     for spec in (
         Dihedral(5),
