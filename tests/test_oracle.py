@@ -85,8 +85,9 @@ def test_power_maps_a5():
     five, involution, three = (seq for seq, _ in cyclic[1:])
     # squaring swaps the two classes of 5-cycles: g^2 in class 2, g^4 in class 1
     assert (five[2], five[4]) == (2, 1)
-    # involutions square to the identity; the 3-cycle class is closed under squaring
-    assert involution[2 % 2] == 0
+    # involutions square to the identity: order 2, so g^2 = g^0, class 0
+    assert len(involution) == 2 and involution[0] == 0
+    # the 3-cycle class is closed under squaring
     assert three[2] == 4
 
 
