@@ -17,6 +17,7 @@ invocations produce identical bytes.  All fractions are parsed exactly;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -49,7 +50,6 @@ from chartab.tables import (
     Psl2Even,
     TableTooLargeError,
     build_table,
-    spec_group_order,
     spec_to_json,
     validate_table,
 )
@@ -288,7 +288,7 @@ def _dihedral_zero_counts(t: CharacterTable, n: int) -> str | None:
 def _cmd_verify(args) -> int:
     spec = _family_spec(args.family, args.param)
     # before anything is built: the realization alone can take gigabytes
-    check_group_limit(spec_group_order(spec))
+    check_group_limit(spec)
     checks: list[tuple[str, bool, str | None]] = []
 
     table = build_table(spec)
@@ -370,7 +370,9 @@ def _add_format(sub: argparse.ArgumentParser, choices: list[str]) -> None:
     sub.add_argument("--format", choices=choices, default="json")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="chartab",
         description="exact character tables, value statistics, and witness search",

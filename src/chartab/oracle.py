@@ -54,6 +54,8 @@ from chartab.tables import (
     Psl2Even,
     _check_positive,
     env_limit,
+    log2_past_limit,
+    spec_group_order,
     validate_table,
 )
 
@@ -170,11 +172,13 @@ class ClassData:
         return lcm(*self.element_orders)
 
 
-def check_group_limit(order: int) -> None:
-    """Refuse a group of known order above the element limit, before any
-    permutation realization of it is built."""
+def check_group_limit(spec: FamilySpec) -> None:
+    """Refuse a family whose order is above the element limit, before any
+    permutation realization of it is built.  A single family whose
+    parameter alone puts the order past the limit is refused without
+    building the order."""
     limit = env_limit(GROUP_LIMIT_ENV, DEFAULT_GROUP_LIMIT)
-    if order > limit:
+    if log2_past_limit(spec, limit, order=True) is not None or spec_group_order(spec) > limit:
         raise GroupTooLargeError(limit)
 
 

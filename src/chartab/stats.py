@@ -11,7 +11,9 @@ a Fraction computed from the exact value trichotomy; no floats.
 `product_stats` is the one table evaluator: it counts the statistics of a
 direct product of (table, rows) factors from per-factor value histograms,
 without building the product table, and `group_stats` and `char_stats`
-are its one-factor calls.
+are its one-factor calls.  It is a count per factor (`count_factor`) then
+a fold (`fold_counts`), so a caller can keep a factor's counts and not its
+table.
 
 Closed forms are provided for the three generated families and are
 cross-checked against the generated tables in the test suite.  Two
@@ -151,29 +153,24 @@ def _histogram(t: CharacterTable, rows) -> list[tuple[Cyclotomic, int, int]]:
     return [(v, n, m) for v, n, m in zip(t.palette, cells, elems) if n]
 
 
-def product_stats(factors: Iterable[tuple[CharacterTable, Sequence[Sequence[int]]]]) -> StatRecord:
-    """Statistics of the direct product of some index rows of each factor
-    table, every product row weighing the same; the product table is never
-    built.
+Counts = tuple[int, int, tuple[tuple[Cyclotomic, int, int], ...]]
 
-    A product cell is one cell per factor: its value is the product of
-    theirs, its class size the product of theirs.  By distributivity the
-    product's cells holding a value v number the sum, over the tuples of
-    factor entries whose product is v, of the product of their cell counts,
-    and likewise for class-size sums.  So each factor reduces to its
-    `_histogram`, whose per-cell counting runs in C builtins, and the fold
-    multiplies each distinct partial value by each entry of the next factor
-    once, exactly, merging equal products by `Cyclotomic.key()`.  Each
-    distinct final value is classified once: no multiplicativity of u is
-    assumed, and it fails in general (in PSL(2, 16)^2,
-    (z5 + z5^-1)(z5^2 + z5^-2) = -1).  No factors is the trivial group.
-    """
+
+def count_factor(t: CharacterTable, rows: Sequence[Sequence[int]]) -> Counts:
+    """One factor of `product_stats`, counted: (pairs, cells, entries), with
+    pairs = |G| * |rows|, cells = classes * |rows|, and entries the rows'
+    `_histogram`.  It holds no reference to the table."""
+    return t.group_order * len(rows), t.num_classes * len(rows), tuple(_histogram(t, rows))
+
+
+def fold_counts(counted: Iterable[Counts]) -> StatRecord:
+    """Statistics of the direct product of counted factors (`count_factor`),
+    every product row weighing the same.  No factors is the trivial group."""
     counts = None
     pair_total = cell_total = 1
-    for t, rows in factors:
-        pair_total *= t.group_order * len(rows)
-        cell_total *= t.num_classes * len(rows)
-        entries = _histogram(t, rows)
+    for pairs, cells, entries in counted:
+        pair_total *= pairs
+        cell_total *= cells
         if counts is None:
             counts = entries  # one table: never multiplied by 1
             continue
@@ -202,6 +199,28 @@ def product_stats(factors: Iterable[tuple[CharacterTable, Sequence[Sequence[int]
         Fraction(rou_elems, pair_total),
         Fraction(rou_cells, cell_total),
     )
+
+
+def product_stats(factors: Iterable[tuple[CharacterTable, Sequence[Sequence[int]]]]) -> StatRecord:
+    """Statistics of the direct product of some index rows of each factor
+    table, every product row weighing the same; the product table is never
+    built.
+
+    A product cell is one cell per factor: its value is the product of
+    theirs, its class size the product of theirs.  By distributivity the
+    product's cells holding a value v number the sum, over the tuples of
+    factor entries whose product is v, of the product of their cell counts,
+    and likewise for class-size sums.  So each factor is first counted on
+    its own (`count_factor`: its `_histogram`, whose per-cell counting runs
+    in C builtins), and the counts are then folded (`fold_counts`), which
+    multiplies each distinct partial value by each entry of the next factor
+    once, exactly, merging equal products by `Cyclotomic.key()`.  A caller
+    that meets one factor many times can count it once and fold the counts.
+    Each distinct final value is classified once: no multiplicativity of u
+    is assumed, and it fails in general (in PSL(2, 16)^2,
+    (z5 + z5^-1)(z5^2 + z5^-2) = -1).  No factors is the trivial group.
+    """
+    return fold_counts(count_factor(t, rows) for t, rows in factors)
 
 
 def char_stats(t: CharacterTable, row: int) -> StatRecord:

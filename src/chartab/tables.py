@@ -305,13 +305,50 @@ def spec_group_order(spec: FamilySpec) -> int:
     raise InvalidParameterError(f"unknown family spec {spec!r}")
 
 
+def log2_past_limit(spec: FamilySpec, limit: int, order: bool = False) -> int | None:
+    """b = floor(log2) of a single family's class count, or of its group
+    order, when 2^b alone is past ``limit``; otherwise None.
+
+    b is read off the parameter, so a count of billions of bits is never
+    built to be refused: for the class counts n - 1 (2 when n < 3), 2n and
+    r, for the orders n + 1, 2n + 1 and 3r - 1 (dihedral, extraspecial2,
+    psl2even).  A product is always None: its count is built exactly.
+    """
+    if isinstance(spec, Dihedral):
+        _check_positive(spec.n, "n")
+        b = spec.n + 1 if order else max(spec.n - 1, 2)
+    elif isinstance(spec, Extraspecial2):
+        _check_positive(spec.n, "n")
+        b = 2 * spec.n + 1 if order else 2 * spec.n
+    elif isinstance(spec, Psl2Even):
+        _check_positive(spec.r, "r")
+        b = 3 * spec.r - 1 if order else spec.r
+    else:
+        return None
+    return b if b >= limit.bit_length() else None
+
+
+def check_table_guard(spec: FamilySpec) -> None:
+    """The class guard `build_table` applies before anything is built.
+
+    A single family whose parameter alone puts the count past both the
+    limit and 10^18 is refused as ``at least 2^b``, the words
+    `describe_count` would print for the count itself.
+    """
+    limit = env_limit("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT)
+    b = log2_past_limit(spec, max(limit, _DECIMAL_BELOW))
+    if b is not None:
+        raise _too_many_classes("table", f"at least 2^{b}", limit)
+    _check_class_count("table", spec_class_count(spec))
+
+
 def build_table(spec: FamilySpec) -> CharacterTable:
     """The generated table of a family spec.
 
     Every spec is checked against the class-count guard before anything is
     built, so an oversized request fails fast instead of exhausting memory.
     """
-    _check_class_count("table", spec_class_count(spec))
+    check_table_guard(spec)
     if isinstance(spec, Dihedral):
         return dihedral_table(spec.n)
     if isinstance(spec, Extraspecial2):
@@ -534,11 +571,14 @@ def psl2_even_table(r: int) -> CharacterTable:
 # products
 
 
+_DECIMAL_BELOW = 10**18
+
+
 def describe_count(n: int) -> str:
     """n in decimal when short, else by its size as ``at least 2^b``: the
     decimal digits of a guard-busting count can run to hundreds of
     thousands, past Python's int-to-string limit."""
-    if n < 10**18:
+    if n < _DECIMAL_BELOW:
         return str(n)
     return f"at least 2^{n.bit_length() - 1}"
 
@@ -553,13 +593,17 @@ def env_limit(name: str, default: int) -> int:
     return int(raw)
 
 
+def _too_many_classes(what: str, count: str, limit: int) -> TableTooLargeError:
+    return TableTooLargeError(
+        f"{what} would have {count} classes, above the guard {limit}; "
+        f"use closed-form statistics and recurrences for {what}s this size"
+    )
+
+
 def _check_class_count(what: str, count: int) -> None:
     limit = env_limit("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT)
     if count > limit:
-        raise TableTooLargeError(
-            f"{what} would have {describe_count(count)} classes, above the guard {limit}; "
-            f"use closed-form statistics and recurrences for {what}s this size"
-        )
+        raise _too_many_classes(what, describe_count(count), limit)
 
 
 def product_table(a: CharacterTable, b: CharacterTable) -> CharacterTable:

@@ -26,8 +26,10 @@ exact Fraction is built once, for the accepted k.
 
 `verify_witness` recomputes a witness two ways: replaying the closed forms
 through `chartab.stats.compose`, and, when the expression is small enough,
-counting the explicit product table from its factor tables with
-`chartab.stats.product_stats`, without building it.  Disagreement raises.
+counting the explicit product table from its factor tables, as
+`chartab.stats.product_stats` does, without building it.  Each factor's
+counts are remembered per process (never its table), and the class guard
+is checked on every call, remembered or not.  Disagreement raises.
 """
 
 from __future__ import annotations
@@ -37,15 +39,17 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 from chartab.stats import (
     ClosedFormStats,
+    Counts,
     StatKind,
     StatRecord,
     closed_form_stats,
     compose,
-    product_stats,
+    count_factor,
+    fold_counts,
     render_decimal,
 )
 from chartab.tables import (
@@ -54,6 +58,7 @@ from chartab.tables import (
     FamilySpec,
     Psl2Even,
     build_table,
+    check_table_guard,
     describe_count,
     spec_class_count,
     spec_to_json,
@@ -63,6 +68,7 @@ K_GUARD = 10**7
 PARAM_GUARD = 10**4
 VERIFY_CLASS_LIMIT = 10**5
 VERIFY_CELL_LIMIT = 8 * 10**6
+FACTOR_MEMO_SIZE = 64
 
 
 class Scope(Enum):
@@ -546,6 +552,16 @@ def _factor_record(fct: WitnessFactor) -> StatRecord:
     return cf.character
 
 
+@lru_cache(maxsize=FACTOR_MEMO_SIZE)
+def _factor_counts(family: FamilySpec, character: str | None) -> Counts:
+    """`count_factor` of a family's table: all rows when character is None,
+    else the named row.  Remembered per process; the memo holds counts, at
+    most one triple per palette entry, never a table."""
+    t = build_table(family)
+    rows = t.rows if character is None else [t.rows[t.character_index(character)]]
+    return count_factor(t, rows)
+
+
 def verify_witness(w: Witness) -> VerificationReport:
     """Recompute a witness value two independent ways.
 
@@ -555,11 +571,14 @@ def verify_witness(w: Witness) -> VerificationReport:
     fractions (all witness factors satisfy the multiplicativity
     hypothesis).  (b) When the expression has at most `VERIFY_CLASS_LIMIT`
     classes and at most `VERIFY_CELL_LIMIT` table cells, count its explicit
-    product table from the factor tables (`product_stats`): every product
-    value is computed and classified exactly, so no multiplicativity is
-    assumed, but the product table is never built.  Any disagreement with
-    the stored value raises; path (b) reports which guard fired when
-    skipped.
+    product table from the factor tables (`count_factor`, then
+    `fold_counts`): every product value is computed and classified exactly,
+    so no multiplicativity is assumed, but the product table is never
+    built.  Each factor's counts are remembered per process, keyed by
+    family and character, so a long-lived process builds each factor table
+    once; the class guard of `build_table` is still checked on every call.
+    Any disagreement with the stored value raises; path (b) reports which
+    guard fired when skipped.
     """
     kind = w.query.kind
     if not w.factors:
@@ -591,16 +610,12 @@ def verify_witness(w: Witness) -> VerificationReport:
             f"exceed the guard {VERIFY_CELL_LIMIT}"
         )
     else:
-        tables = {f: build_table(f) for f in {fct.family for fct in w.factors}}
-        factors = []
+        counted = []
         for fct in w.factors:
-            t = tables[fct.family]
-            if w.query.scope is Scope.CHARACTER:
-                rows = [t.rows[t.character_index(fct.character)]]
-            else:
-                rows = t.rows
-            factors += [(t, rows)] * fct.power
-        table_value = product_stats(factors).get(kind)
+            check_table_guard(fct.family)  # on a remembered factor too
+            character = fct.character if w.query.scope is Scope.CHARACTER else None
+            counted += [_factor_counts(fct.family, character)] * fct.power
+        table_value = fold_counts(counted).get(kind)
         if table_value != w.value:
             raise WitnessInconsistencyError(
                 f"explicit table gives {table_value}, witness records {w.value}"

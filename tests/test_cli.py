@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 import chartab
 from chartab import oracle, stats, witness
-from chartab.cli import main
+from chartab.cli import _build_parser, main
 from chartab.tables import CharacterTable, dihedral_table
 
 
@@ -488,14 +489,68 @@ def test_class_guard_line_stays_short(capsys, argv, bits):
 
 
 def test_class_guard_refuses_a_huge_parameter_fast(capsys):
-    # 2^(10^9 - 1) + 3 classes: the count is built by a shift (125 MB), not by
-    # repeated squaring, which took seconds
+    # 2^(10^9 - 1) + 3 classes: refused from the parameter, the count is never built
     start = time.perf_counter()
     code, out, err = run(capsys, "table", "dihedral", "1000000000")
     assert time.perf_counter() - start < 3
     assert (code, out) == (1, "")
     assert err.startswith("chartab: table would have at least 2^999999999 classes, above the guard")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("table", "dihedral", "1000000000000"),
+         "table would have at least 2^999999999999 classes, above the guard"),
+        (("stats", "extraspecial2", "100000000000"),
+         "table would have at least 2^200000000000 classes, above the guard"),
+        (("verify", "psl2even", "100000000000"), "group has more than 200000 elements"),
+    ],
+)
+def test_guards_refuse_a_huge_parameter_in_constant_memory(capsys, argv, line):
+    # the exact class count or order of these would take 12 to 37 GB
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"chartab: {line}")
+    assert err.count("\n") == 1
+    assert peak < 2**20
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+ONE_PER_SUBCOMMAND = [
+    ("table", "dihedral", "3", "--format", "pretty"),
+    ("stats", "psl2even", "2", "--char", "steinberg"),
+    ("witness", "--stat", "zI", "--scope", "group", "--target", "1/2", "--eps", "1/10"),
+    ("scan", "--stat", "zII", "--scope", "character", "--family-params", "psl2even:3",
+     "--kmax", "3", "--format", "csv"),
+    ("verify", "dihedral", "2"),
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_one_parser_serves_every_command_alike(capsys):
+    first = [_outcome(capsys, argv) for argv in ONE_PER_SUBCOMMAND]
+    assert [code for code, _, _ in first] == [0] * len(ONE_PER_SUBCOMMAND)
+    assert _outcome(capsys, ("table", "cyclic", "5"))[0] == 2
+    assert _outcome(capsys, ("stats", "dihedral", "3", "--char", "nope"))[0] == 1
+    assert [_outcome(capsys, argv) for argv in ONE_PER_SUBCOMMAND] == first
+    assert _build_parser() is _build_parser()
 
 
 # ---------------------------------------------------------------------------

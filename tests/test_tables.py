@@ -23,6 +23,7 @@ from chartab.tables import (
     build_table,
     dihedral_table,
     extraspecial2_table,
+    log2_past_limit,
     product_table,
     psl2_even_table,
     spec_class_count,
@@ -254,6 +255,20 @@ def test_spec_counts_and_orders_match_the_tables():
                  Product((Extraspecial2(1), Psl2Even(2)))]:
         t = build_table(spec)
         assert (spec_class_count(spec), spec_group_order(spec)) == (t.num_classes, t.group_order)
+
+
+def test_log2_past_limit_reads_the_floor_log2_of_each_count_off_the_parameter():
+    for family in (Dihedral, Extraspecial2, Psl2Even):
+        for k in range(1, 70):
+            spec = family(k)
+            for order, count in ((False, spec_class_count(spec)), (True, spec_group_order(spec))):
+                b = count.bit_length() - 1
+                # 2^b is past every limit below it, and past none from 2^b on
+                assert log2_past_limit(spec, (1 << b) - 1, order) == b
+                assert log2_past_limit(spec, 1 << b, order) is None
+    assert log2_past_limit(Product((Dihedral(40),)), 1) is None
+    with pytest.raises(InvalidParameterError, match=r"^n must be a positive integer, got 0"):
+        log2_past_limit(Dihedral(0), 1)
 
 
 @pytest.mark.parametrize(

@@ -393,6 +393,42 @@ def test_verify_never_builds_the_product_table(monkeypatch):
     assert checked == 12
 
 
+def _shared_factor_witnesses():
+    # both are table-checked powers of Extraspecial2(4) at group scope
+    ws = [find_witness(kind, Scope.GROUP, 0, HUNDREDTH)
+          for kind in (StatKind.Z_ELEM, StatKind.Z_CLASS)]
+    assert {f.family for w in ws for f in w.factors} == {Extraspecial2(4)}
+    return ws
+
+
+def test_verify_builds_a_shared_factor_once(monkeypatch):
+    ws = _shared_factor_witnesses()
+    cold = []
+    for w in ws:
+        witness._factor_counts.cache_clear()
+        cold.append(verify_witness(w))
+    assert all(report.table_skipped is None for report in cold)
+    witness._factor_counts.cache_clear()
+    built = []
+
+    def counting(spec):
+        built.append(spec)
+        return build_table(spec)
+
+    monkeypatch.setattr(witness, "build_table", counting)
+    assert [verify_witness(w) for w in ws] == cold
+    assert built == [Extraspecial2(4)]
+
+
+def test_verify_checks_the_class_guard_on_a_remembered_factor(monkeypatch):
+    w = _shared_factor_witnesses()[0]
+    witness._factor_counts.cache_clear()
+    assert verify_witness(w).table_skipped is None
+    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", str(tables.spec_class_count(Extraspecial2(4)) - 1))
+    with pytest.raises(tables.TableTooLargeError):
+        verify_witness(w)
+
+
 # ---------------------------------------------------------------------------
 # the skip-ahead scan against the linear walk it replaced
 
