@@ -41,9 +41,9 @@ from chartab.stats import (
     render_decimal,
 )
 from chartab.tables import (
+    KINDS,
     CharacterTable,
     Dihedral,
-    Extraspecial2,
     FamilySpec,
     InvalidParameterError,
     MalformedTableError,
@@ -65,26 +65,20 @@ _DOMAIN_ERRORS = (
     NotAlgebraicIntegerError,
 )
 
-_FAMILIES = {
-    "dihedral": Dihedral,
-    "extraspecial2": Extraspecial2,
-    "psl2even": Psl2Even,
-}
-
 _STAT_FLAGS = [kind.value for kind in StatKind]
 _SCOPES = [scope.value for scope in Scope]
 
 
 def _family_spec(name: str, param: int) -> FamilySpec:
-    return _FAMILIES[name](param)
+    return KINDS[name](param)
 
 
 def _parse_family_params(text: str) -> FamilySpec:
     """scan's --family-params value: "family:param", e.g. "dihedral:4"."""
     name, _, raw = text.partition(":")
-    if name not in _FAMILIES or not raw:
+    if name not in KINDS or not raw:
         raise argparse.ArgumentTypeError(
-            f"expected family:param with family in {sorted(_FAMILIES)}, got {text!r}"
+            f"expected family:param with family in {sorted(KINDS)}, got {text!r}"
         )
     try:
         param = int(raw)
@@ -285,50 +279,27 @@ def _dihedral_zero_counts(t: CharacterTable, n: int) -> str | None:
     return None
 
 
+def _agrees(name: str, actual, want) -> tuple[str, bool, str | None]:
+    """A check that a computed statistics record equals its closed form."""
+    return name, actual == want, None if actual == want else f"table gives {actual}"
+
+
 def _cmd_verify(args) -> int:
     spec = _family_spec(args.family, args.param)
     # before anything is built: the realization alone can take gigabytes
     check_group_limit(spec)
-    checks: list[tuple[str, bool, str | None]] = []
-
     table = build_table(spec)
     report = validate_table(table)
-    checks.append(
-        (
-            "generated table satisfies the table identities",
-            report.ok,
-            report.failure,
-        )
-    )
-
-    oracle_table = dixon_character_table(builtin_perm_group(spec))
-    comparison = compare_tables(table, oracle_table)
-    checks.append(
-        (
-            "oracle table matches the generated table up to relabeling",
-            comparison.matched,
-            comparison.reason,
-        )
-    )
-
+    checks = [("generated table satisfies the table identities", report.ok, report.failure)]
+    comparison = compare_tables(table, dixon_character_table(builtin_perm_group(spec)))
+    checks.append(("oracle table matches the generated table up to relabeling",
+                   comparison.matched, comparison.reason))
     cf = closed_form_stats(spec)
-    actual_group = group_stats(table)
-    checks.append(
-        (
-            "group statistics match the closed forms",
-            actual_group == cf.group,
-            None if actual_group == cf.group else f"table gives {actual_group}",
-        )
-    )
+    checks.append(_agrees("group statistics match the closed forms", group_stats(table), cf.group))
     if cf.character is not None:
-        actual_char = char_stats(table, table.character_index(cf.character_name))
-        checks.append(
-            (
-                f"statistics of character {cf.character_name} match the closed forms",
-                actual_char == cf.character,
-                None if actual_char == cf.character else f"table gives {actual_char}",
-            )
-        )
+        actual = char_stats(table, table.character_index(cf.character_name))
+        name = f"statistics of character {cf.character_name} match the closed forms"
+        checks.append(_agrees(name, actual, cf.character))
     if isinstance(spec, Dihedral) and spec.n >= 2:
         detail = _dihedral_zero_counts(table, spec.n)
         checks.append(
@@ -362,7 +333,7 @@ def _cmd_verify(args) -> int:
 
 
 def _add_family_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("family", choices=sorted(_FAMILIES))
+    sub.add_argument("family", choices=sorted(KINDS))
     sub.add_argument("param", type=int, help="family parameter (n or r)")
 
 

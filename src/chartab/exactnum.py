@@ -72,73 +72,33 @@ def totient(n: int) -> int:
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Dense division of integer polynomials, remainder required to vanish.
-    num = list(num)
-    dd = len(den) - 1
-    quot = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        assert c % den[dd] == 0
-        q = c // den[dd]
-        quot[i - dd] = q
-        for j, dc in enumerate(den):
-            num[i - dd + j] -= q * dc
-    assert all(c == 0 for c in num), "non-exact polynomial division"
-    return quot
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, low degree first.
 
-    Computed with the classical reductions (radical inflation, the odd/even
-    sign twist) so that actual polynomial division only happens for odd
-    squarefree composites, which stay tiny for every conductor this package
-    touches.
+    By Moebius inversion of x^n - 1 = prod over d | n of Phi_d(x),
+    Phi_n(x) is the product over the squarefree m | n of
+    (x^(n/m) - 1)^mu(m).  The factors with mu(m) = 1 are multiplied in
+    first, so each division by one with mu(m) = -1 is exact.
     """
     if n < 1:
         raise InvalidConductorError(f"conductor must be a positive integer, got {n}")
-    if n == 1:
-        return (-1, 1)
-    if n == 2:
-        return (1, 1)
-    fac = factorize(n)
-    rad = 1
-    for p in fac:
-        rad *= p
-    if rad != n:
-        # Phi_n(x) = Phi_rad(x^(n/rad))
-        base = cyclotomic_coeffs(rad)
-        k = n // rad
-        out = [0] * ((len(base) - 1) * k + 1)
-        for i, c in enumerate(base):
-            out[i * k] = c
-        return tuple(out)
-    if n % 2 == 0:
-        # n = 2m with m odd and squarefree, m > 1: Phi_2m(x) = Phi_m(-x).
-        base = cyclotomic_coeffs(n // 2)
-        return tuple(c if i % 2 == 0 else -c for i, c in enumerate(base))
-    if len(fac) == 1:
-        return (1,) * n
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d != n:
-            poly = _polydiv_exact(poly, cyclotomic_coeffs(d))
+    mu = {1: 1}  # squarefree divisor -> Moebius value
+    for p in factorize(n):
+        mu.update({m * p: -s for m, s in mu.items()})
+    poly = [1]
+    for m in sorted(mu, key=mu.get, reverse=True):
+        d = n // m
+        if mu[m] > 0:  # times x^d - 1
+            low = poly
+            poly = [-c for c in low] + [0] * d
+            for i, c in enumerate(low):
+                poly[i + d] += c
+        else:  # q (x^d - 1) = poly gives q[i] = q[i - d] - poly[i]
+            q: list[int] = []
+            for i in range(len(poly) - d):
+                q.append((q[i - d] if i >= d else 0) - poly[i])
+            poly = q
     return tuple(poly)
 
 

@@ -51,10 +51,9 @@ from chartab.tables import (
     FamilySpec,
     InvalidParameterError,
     Product,
-    Psl2Even,
-    _check_positive,
     env_limit,
     log2_past_limit,
+    single_family,
     spec_group_order,
     validate_table,
 )
@@ -714,20 +713,6 @@ def builtin_perm_group(spec: FamilySpec) -> PermGroup:
     projective line; products act on the disjoint union of the factors'
     points.
     """
-    if isinstance(spec, Dihedral):
-        _check_positive(spec.n, "n")
-        if spec.n == 1:
-            return PermGroup(4, ((1, 0, 2, 3), (0, 1, 3, 2)))
-        m = 1 << spec.n
-        rotate = tuple((i + 1) % m for i in range(m))
-        reflect = tuple(-i % m for i in range(m))
-        return PermGroup(m, (rotate, reflect))
-    if isinstance(spec, Extraspecial2):
-        _check_positive(spec.n, "n")
-        return _extraspecial_perm_group(spec.n)
-    if isinstance(spec, Psl2Even):
-        _check_positive(spec.r, "r")
-        return _psl2_perm_group(spec.r)
     if isinstance(spec, Product):
         parts = [builtin_perm_group(f) for f in spec.factors]
         if not parts:
@@ -743,7 +728,17 @@ def builtin_perm_group(spec: FamilySpec) -> PermGroup:
                 gens.append(tuple(image))
             offset += part.degree
         return PermGroup(degree, tuple(gens))
-    raise InvalidParameterError(f"unknown family spec {spec!r}")
+    _, p = single_family(spec)
+    if isinstance(spec, Dihedral):
+        if p == 1:
+            return PermGroup(4, ((1, 0, 2, 3), (0, 1, 3, 2)))
+        m = 1 << p
+        rotate = tuple((i + 1) % m for i in range(m))
+        reflect = tuple(-i % m for i in range(m))
+        return PermGroup(m, (rotate, reflect))
+    if isinstance(spec, Extraspecial2):
+        return _extraspecial_perm_group(p)
+    return _psl2_perm_group(p)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from operator import itemgetter
 
 from chartab.exactnum import Cyclotomic, Rational, ValueClass, classify_value
 from chartab.tables import (
+    DEFAULT_CLASS_LIMIT,
     CharacterTable,
     Dihedral,
     Extraspecial2,
@@ -49,10 +50,16 @@ from chartab.tables import (
     InvalidParameterError,
     Product,
     Psl2Even,
-    _check_positive,
+    TableTooLargeError,
+    describe_count,
+    env_limit,
+    single_family,
 )
 
 K_MAX_LIMIT = 10**6
+# floor(log2 |G|) from which closed forms are refused: at n = 10^6 a
+# dihedral scan row already takes seconds, and the time grows as n^2
+CLOSED_FORM_BIT_LIMIT = 10**6
 
 
 class StatKind(Enum):
@@ -102,17 +109,8 @@ class StatRecord:
         return getattr(self, kind.field)
 
     def to_json(self) -> dict:
-        return {
-            name: {"fraction": str(v), "decimal": render_decimal(v)}
-            for name, v in (
-                ("z_elem", self.z_elem),
-                ("z_class", self.z_class),
-                ("u_elem", self.u_elem),
-                ("u_class", self.u_class),
-                ("theta_elem", self.theta_elem),
-                ("theta_class", self.theta_class),
-            )
-        }
+        values = {kind.field: self.get(kind) for kind in StatKind}
+        return {f: {"fraction": str(v), "decimal": render_decimal(v)} for f, v in values.items()}
 
 
 _KIND_FIELDS = {
@@ -319,6 +317,12 @@ def _psl2_group_record(r: int) -> StatRecord:
     to -1.  Everything else is counting.
     """
     q = 2**r
+    limit = env_limit("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT)
+    if q + 1 > limit:
+        raise TableTooLargeError(
+            f"the group record of psl2even({r}) walks {describe_count(q + 1)} "
+            f"classes, above the guard {limit}"
+        )
     order = q**3 - q
     ncls = q + 1
     nsplit = (q - 2) // 2
@@ -376,31 +380,33 @@ def closed_form_stats(spec: FamilySpec) -> ClosedFormStats:
     degree-2^n character of the extraspecial family, and the degree-q
     character of PSL(2, q).  Products have no closed form here; compose
     single-family records with the product rules instead.
+
+    The records are fractions of integers about as long as |G|, so a
+    family with floor(log2 |G|) at `CLOSED_FORM_BIT_LIMIT` or past it is
+    refused from its parameter, before any of them is built.
     """
-    if isinstance(spec, Dihedral):
-        _check_positive(spec.n, "n")
-        group = partial(_dihedral_group_record, spec.n)
-        if spec.n == 1:
-            return ClosedFormStats(group, None, None)
-        return ClosedFormStats(group, "rot1", _dihedral_char_record(spec.n))
-    if isinstance(spec, Extraspecial2):
-        _check_positive(spec.n, "n")
-        return ClosedFormStats(
-            partial(_extraspecial_group_record, spec.n),
-            "faithful",
-            _extraspecial_faithful_record(spec.n),
-        )
-    if isinstance(spec, Psl2Even):
-        _check_positive(spec.r, "r")
-        return ClosedFormStats(
-            partial(_psl2_group_record, spec.r), "steinberg", _steinberg_record(spec.r)
-        )
     if isinstance(spec, Product):
         raise InvalidParameterError(
             "closed forms cover single families; compose product statistics "
             "with the z/u recurrences"
         )
-    raise InvalidParameterError(f"unknown family spec {spec!r}")
+    family, p = single_family(spec)
+    bits = family.group_order_log2(p)
+    if bits >= CLOSED_FORM_BIT_LIMIT:
+        raise InvalidParameterError(
+            f"closed forms of {family.kind}({p}) would take integers of at least "
+            f"{bits} bits, above the guard {CLOSED_FORM_BIT_LIMIT}"
+        )
+    if isinstance(spec, Dihedral):
+        group = partial(_dihedral_group_record, p)
+        if p == 1:
+            return ClosedFormStats(group, None, None)
+        return ClosedFormStats(group, "rot1", _dihedral_char_record(p))
+    if isinstance(spec, Extraspecial2):
+        return ClosedFormStats(
+            partial(_extraspecial_group_record, p), "faithful", _extraspecial_faithful_record(p)
+        )
+    return ClosedFormStats(partial(_psl2_group_record, p), "steinberg", _steinberg_record(p))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ values in the conductor of their construction (a power of two for the
 2-groups, ``q - 1`` and ``q + 1`` for the split and nonsplit torus values),
 never shrunk to the minimal field.
 
+``FAMILIES`` holds one record per single family (kind name, parameter
+name, generator, class count, group order); the spec functions and
+``build_table`` read it, so a family fact is stated once.
+
 ``validate_table`` checks the defining exact relations (class equation,
 degree equation, row orthogonality, which implies column orthogonality)
 and reports the first violation, which makes it usable as an oracle
@@ -32,10 +36,10 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from chartab.exactnum import Cyclotomic, canonicalize
 
@@ -242,89 +246,77 @@ class Product:
 FamilySpec = Dihedral | Extraspecial2 | Psl2Even | Product
 
 
+@dataclass(frozen=True)
+class Family:
+    """What the package knows of a single family, as functions of its
+    parameter: the class count and the group order, each with its
+    floor(log2) read off the parameter, and the table generator."""
+
+    kind: str  # the name the CLI and JSON use
+    param: str
+    generate: Callable[[int], "CharacterTable"]
+    class_count: Callable[[int], int]
+    class_count_log2: Callable[[int], int]
+    group_order: Callable[[int], int]
+    group_order_log2: Callable[[int], int]
+
+
+def single_family(spec: FamilySpec) -> tuple[Family, int]:
+    """The `FAMILIES` record of a single-family spec and its parameter,
+    checked positive."""
+    family = FAMILIES.get(type(spec))
+    if family is None:
+        raise InvalidParameterError(f"unknown family spec {spec!r}")
+    value = getattr(spec, family.param)
+    _check_positive(value, family.param)
+    return family, value
+
+
 def spec_to_json(spec: FamilySpec) -> dict:
-    if isinstance(spec, Dihedral):
-        return {"kind": "dihedral", "n": spec.n}
-    if isinstance(spec, Extraspecial2):
-        return {"kind": "extraspecial2", "n": spec.n}
-    if isinstance(spec, Psl2Even):
-        return {"kind": "psl2even", "r": spec.r}
     if isinstance(spec, Product):
         return {"kind": "product", "factors": [spec_to_json(f) for f in spec.factors]}
-    raise InvalidParameterError(f"unknown family spec {spec!r}")
+    family, value = single_family(spec)
+    return {"kind": family.kind, family.param: value}
 
 
 def spec_from_json(doc: dict) -> FamilySpec:
     kind = doc["kind"]
-    if kind == "dihedral":
-        return Dihedral(int(doc["n"]))
-    if kind == "extraspecial2":
-        return Extraspecial2(int(doc["n"]))
-    if kind == "psl2even":
-        return Psl2Even(int(doc["r"]))
     if kind == "product":
         return Product(tuple(spec_from_json(f) for f in doc["factors"]))
-    raise InvalidParameterError(f"unknown family kind {kind!r}")
+    spec = KINDS.get(kind)
+    if spec is None:
+        raise InvalidParameterError(f"unknown family kind {kind!r}")
+    return spec(int(doc[FAMILIES[spec].param]))
 
 
 def spec_class_count(spec: FamilySpec) -> int:
     """Number of conjugacy classes, computed without building the table."""
-    if isinstance(spec, Dihedral):
-        _check_positive(spec.n, "n")
-        return (1 << (spec.n - 1)) + 3
-    if isinstance(spec, Extraspecial2):
-        _check_positive(spec.n, "n")
-        return (1 << (2 * spec.n)) + 1
-    if isinstance(spec, Psl2Even):
-        _check_positive(spec.r, "r")
-        return (1 << spec.r) + 1
     if isinstance(spec, Product):
-        count = 1
-        for f in spec.factors:
-            count *= spec_class_count(f)
-        return count
-    raise InvalidParameterError(f"unknown family spec {spec!r}")
+        return prod(map(spec_class_count, spec.factors))
+    family, value = single_family(spec)
+    return family.class_count(value)
 
 
 def spec_group_order(spec: FamilySpec) -> int:
     """Group order, computed without building anything."""
-    if isinstance(spec, Dihedral):
-        _check_positive(spec.n, "n")
-        return 1 << (spec.n + 1)
-    if isinstance(spec, Extraspecial2):
-        _check_positive(spec.n, "n")
-        return 1 << (2 * spec.n + 1)
-    if isinstance(spec, Psl2Even):
-        _check_positive(spec.r, "r")
-        return (1 << (3 * spec.r)) - (1 << spec.r)
     if isinstance(spec, Product):
-        order = 1
-        for f in spec.factors:
-            order *= spec_group_order(f)
-        return order
-    raise InvalidParameterError(f"unknown family spec {spec!r}")
+        return prod(map(spec_group_order, spec.factors))
+    family, value = single_family(spec)
+    return family.group_order(value)
 
 
 def log2_past_limit(spec: FamilySpec, limit: int, order: bool = False) -> int | None:
     """b = floor(log2) of a single family's class count, or of its group
     order, when 2^b alone is past ``limit``; otherwise None.
 
-    b is read off the parameter, so a count of billions of bits is never
-    built to be refused: for the class counts n - 1 (2 when n < 3), 2n and
-    r, for the orders n + 1, 2n + 1 and 3r - 1 (dihedral, extraspecial2,
-    psl2even).  A product is always None: its count is built exactly.
+    b is read off the parameter by the family's `FAMILIES` record, so a
+    count of billions of bits is never built to be refused.  A product is
+    always None: its count is built exactly.
     """
-    if isinstance(spec, Dihedral):
-        _check_positive(spec.n, "n")
-        b = spec.n + 1 if order else max(spec.n - 1, 2)
-    elif isinstance(spec, Extraspecial2):
-        _check_positive(spec.n, "n")
-        b = 2 * spec.n + 1 if order else 2 * spec.n
-    elif isinstance(spec, Psl2Even):
-        _check_positive(spec.r, "r")
-        b = 3 * spec.r - 1 if order else spec.r
-    else:
+    if isinstance(spec, Product):
         return None
+    family, value = single_family(spec)
+    b = (family.group_order_log2 if order else family.class_count_log2)(value)
     return b if b >= limit.bit_length() else None
 
 
@@ -349,12 +341,6 @@ def build_table(spec: FamilySpec) -> CharacterTable:
     built, so an oversized request fails fast instead of exhausting memory.
     """
     check_table_guard(spec)
-    if isinstance(spec, Dihedral):
-        return dihedral_table(spec.n)
-    if isinstance(spec, Extraspecial2):
-        return extraspecial2_table(spec.n)
-    if isinstance(spec, Psl2Even):
-        return psl2_even_table(spec.r)
     if isinstance(spec, Product):
         if not spec.factors:
             return trivial_table()
@@ -362,7 +348,8 @@ def build_table(spec: FamilySpec) -> CharacterTable:
         for f in spec.factors[1:]:
             table = product_table(table, build_table(f))
         return table
-    raise InvalidParameterError(f"unknown family spec {spec!r}")
+    family, value = single_family(spec)
+    return family.generate(value)
 
 
 def _check_positive(value: int, name: str) -> None:
@@ -565,6 +552,23 @@ def psl2_even_table(r: int) -> CharacterTable:
         palette=tuple(palette),
         rows=tuple(rows),
     )
+
+
+# One record per single family; the spec class is the key.
+FAMILIES: dict[type, Family] = {
+    # kind, parameter, generator; class count and its floor(log2); order and its floor(log2)
+    Dihedral: Family("dihedral", "n", dihedral_table,
+                     lambda n: (1 << (n - 1)) + 3, lambda n: max(n - 1, 2),
+                     lambda n: 1 << (n + 1), lambda n: n + 1),
+    Extraspecial2: Family("extraspecial2", "n", extraspecial2_table,
+                          lambda n: (1 << (2 * n)) + 1, lambda n: 2 * n,
+                          lambda n: 1 << (2 * n + 1), lambda n: 2 * n + 1),
+    Psl2Even: Family("psl2even", "r", psl2_even_table,
+                     lambda r: (1 << r) + 1, lambda r: r,
+                     lambda r: (1 << (3 * r)) - (1 << r), lambda r: 3 * r - 1),
+}
+# The spec class of each kind name.
+KINDS: dict[str, type] = {family.kind: spec for spec, family in FAMILIES.items()}
 
 
 # ---------------------------------------------------------------------------

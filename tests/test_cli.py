@@ -3,10 +3,12 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -506,10 +508,23 @@ def test_class_guard_refuses_a_huge_parameter_fast(capsys):
         (("stats", "extraspecial2", "100000000000"),
          "table would have at least 2^200000000000 classes, above the guard"),
         (("verify", "psl2even", "100000000000"), "group has more than 200000 elements"),
+        (("scan", "--stat", "zI", "--scope", "character",
+          "--family-params", "dihedral:100000000000", "--kmax", "1"),
+         "closed forms of dihedral(100000000000) would take integers of at least "
+         "100000000001 bits, above the guard 1000000\n"),
+        (("scan", "--stat", "zII", "--scope", "group",
+          "--family-params", "extraspecial2:1000000000000", "--kmax", "1"),
+         "closed forms of extraspecial2(1000000000000) would take integers of at least "
+         "2000000000001 bits, above the guard 1000000\n"),
+        # the O(q) walk of the group record would take days, not memory
+        (("scan", "--stat", "zI", "--scope", "group",
+          "--family-params", "psl2even:40", "--kmax", "1"),
+         "the group record of psl2even(40) walks 1099511627777 classes, "
+         "above the guard 1000000\n"),
     ],
 )
 def test_guards_refuse_a_huge_parameter_in_constant_memory(capsys, argv, line):
-    # the exact class count or order of these would take 12 to 37 GB
+    # the exact class count or order of the first five would take 12 GB or more
     tracemalloc.start()
     try:
         code, out, err = run(capsys, *argv)
@@ -598,3 +613,65 @@ def test_table_outputs_match_recorded_digests(capsys):
                 digest.update(capsys.readouterr().out.encode())
         got[family, param] = digest.hexdigest()
     assert got == TABLE_OUTPUT_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz over the parser's grammar
+
+_FUZZ_PARAMS = {
+    # with the limits below: at and past the class guard (131) and the order guard (128)
+    "dihedral": ["6", "7", "8", "9"],
+    "extraspecial2": ["3", "4"],
+    "psl2even": ["2", "3", "7", "8"],
+}
+
+
+def _fuzz_argv(rng):
+    """One argv from the parser's grammar: each choice is a valid token,
+    or, one time in ten, an invalid one."""
+
+    def pick(valid, invalid=()):
+        return rng.choice(invalid if invalid and rng.random() < 0.1 else valid)
+
+    family = pick(sorted(_FUZZ_PARAMS), ["cyclic"])
+    param = pick([*_FUZZ_PARAMS.get(family, []), "-1", "0", "1", "2", str(10**12)], ["x"])
+    stat = ["--stat", pick([k.value for k in stats.StatKind], ["zz"])]
+    scope = ["--scope", pick(["group", "character"], ["world"])]
+    command = pick(["table", "stats", "witness", "scan", "verify"], ["frob"])
+    if command == "witness":
+        target = pick(["0", "1/2", "9/10", "1", "3/2", "-1/2"], ["1/0", "abc"])
+        eps = pick(["1/7", "1/100", "1/300", "0", "-1/3"], ["1/0", "abc"])
+        argv = [command, *stat, *scope, "--target", target, "--eps", eps]
+    elif command == "scan":
+        kmax = pick(["-1", "0", "5", str(10**6 + 1)])
+        argv = [command, *stat, *scope, "--family-params", f"{family}:{param}", "--kmax", kmax]
+    else:
+        argv = [command, family, param]
+    if command == "stats" and rng.random() < 0.5:
+        argv += ["--char", pick(["rot1", "faithful", "steinberg", "nope"])]
+    if rng.random() < 0.5:
+        argv += ["--format", pick(["json", "pretty", "csv"], ["xml"])]
+    if rng.random() < 0.1:  # a missing argument
+        del argv[rng.randrange(1, len(argv))]
+    return argv
+
+
+def test_seeded_fuzz_ends_every_command_in_one_line_or_usage(capsys, monkeypatch):
+    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "131")
+    monkeypatch.setenv("CHARTAB_ORACLE_LIMIT", "128")
+    rng = random.Random(20261018)
+    codes = Counter()
+    for _ in range(400):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error, nothing else
+            code = exc.code
+            assert code == 2, argv
+        _, err = capsys.readouterr()
+        codes[code] += 1
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 1:
+            assert err == "" or (err.startswith("chartab: ") and err.count("\n") == 1), argv
+    assert all(codes[c] for c in (0, 1, 2)), codes

@@ -34,8 +34,10 @@ def rat(x) -> Cyclotomic:
 
 def test_cyclotomic_polynomials_match_sympy():
     x = sympy.Symbol("x")
-    # 105 is the first conductor with a coefficient outside {-1, 0, 1}
-    for n in [*range(1, 41), 48, 60, 105]:
+    # 105 is the first conductor with a coefficient outside {-1, 0, 1}; 63
+    # and 65 are PSL(2, 64) tori, 1155 and 4095 have four odd primes, 2046 is
+    # an oracle exponent and 4096 the largest dihedral conductor in use
+    for n in [*range(1, 41), 48, 60, 63, 65, 105, 1155, 2046, 4095, 4096]:
         ours = cyclotomic_coeffs(n)
         ref = sympy.cyclotomic_poly(n, x).as_poly(x).all_coeffs()[::-1]
         assert list(ours) == [int(c) for c in ref], n

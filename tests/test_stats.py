@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from chartab import stats
 from chartab.stats import (
     StatKind,
     char_stats,
@@ -21,6 +22,7 @@ from chartab.tables import (
     InvalidParameterError,
     Product,
     Psl2Even,
+    TableTooLargeError,
     build_table,
     dihedral_table,
     extraspecial2_table,
@@ -138,6 +140,24 @@ def test_dihedral_frozen_group_values():
 def test_closed_form_rejects_products():
     with pytest.raises(InvalidParameterError):
         closed_form_stats(Product((Dihedral(2), Dihedral(2))))
+
+
+@pytest.mark.parametrize("family, last", [(Dihedral, 8), (Extraspecial2, 4), (Psl2Even, 3)])
+def test_closed_forms_refuse_a_group_order_past_the_bit_guard(monkeypatch, family, last):
+    # floor(log2 |G|) is n + 1, 2n + 1 and 3r - 1: 9, 9 and 8 at `last`, 10 and more past it
+    monkeypatch.setattr(stats, "CLOSED_FORM_BIT_LIMIT", 10)
+    assert closed_form_stats(family(last)).group == group_stats(build_table(family(last)))
+    with pytest.raises(InvalidParameterError, match=r"above the guard 10$"):
+        closed_form_stats(family(last + 1))
+
+
+def test_psl2_group_record_refuses_past_the_class_guard_on_first_read(monkeypatch):
+    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "32")
+    assert closed_form_stats(Psl2Even(4)).group == group_stats(psl2_even_table(4))
+    cf = closed_form_stats(Psl2Even(5))  # 33 classes: the Steinberg record stays available
+    assert cf.character == char_stats(psl2_even_table(5), 1)
+    with pytest.raises(TableTooLargeError, match=r"walks 33 classes, above the guard 32$"):
+        cf.group
 
 
 # ---------------------------------------------------------------------------

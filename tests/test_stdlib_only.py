@@ -1,0 +1,30 @@
+"""The package imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "chartab").glob("*.py"))
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The top-level name of every module the file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("chartab" if node.level else node.module.partition(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    outside = imported_modules(path) - set(sys.stdlib_module_names) - {"chartab"}
+    assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_every_module_is_checked():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "tables.py", "exactnum.py"}
