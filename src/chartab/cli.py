@@ -35,6 +35,7 @@ from chartab.stats import (
     K_MAX_LIMIT,
     StatKind,
     char_stats,
+    check_scan_size,
     closed_form_stats,
     compose,
     group_stats,
@@ -211,8 +212,7 @@ def _cmd_scan(args) -> int:
     kind = StatKind(args.stat)
     scope = Scope(args.scope)
     spec = args.family_params
-    needs_u = kind not in (StatKind.Z_ELEM, StatKind.Z_CLASS)
-    if isinstance(spec, Psl2Even) and scope is Scope.GROUP and needs_u:
+    if isinstance(spec, Psl2Even) and scope is Scope.GROUP and kind.counts_units:
         raise WitnessDomainError(
             "group-scope unit fractions of psl2even are not multiplicative "
             "under direct products; only zI and zII group scans are available"
@@ -227,6 +227,9 @@ def _cmd_scan(args) -> int:
         record = cf.character
     else:
         record = cf.group
+    elem = kind.element_weighted
+    z, u = (record.z_elem, record.u_elem) if elem else (record.z_class, record.u_class)
+    check_scan_size([1 - z] * kind.counts_zeros + [u] * kind.counts_units, args.kmax)
     rows = [(k, compose([(record, k)]).get(kind)) for k in range(args.kmax + 1)]
 
     if args.format == "json":

@@ -18,21 +18,22 @@ determine them exactly).  A prime that fails any internal consistency
 check is abandoned for the next candidate.
 
 Costs: enumeration and the structure constants take |G| times the class
-count r in permutation products, hence the hard element limit.  Each
-class matrix is kept as its nonzero entries only (about r of its r^2
-entries on the 2-groups).  An eigenspace split of a d-dimensional
-subspace reads the eigenvalues off the characteristic polynomial of the
-d x d restriction (O(d^3), then O(p d) to find the roots in F_p) and
-runs one kernel per eigenvalue.  The lift runs once per conjugacy class
-of cyclic subgroups, as a transform of length o = the order of its
-generator, O(o^2) per character, instead of one transform of length e
-per class; the classes of the powers g^t it reads are found by
-multiplying the representative g, o - 1 permutation products.
+count r in permutation products, hence the hard element limit; classes
+are sorted as orbits, never element by element.  Each class matrix is
+kept as its nonzero entries only (about r of its r^2 entries on the
+2-groups).  An eigenspace split of a d-dimensional subspace reads the
+eigenvalues off the characteristic polynomial of the d x d restriction
+(O(d^3), then O(p d) to find the roots in F_p) and runs one kernel per
+eigenvalue; the class matrices commute, so no split re-checks invariance.
+The lift runs once per conjugacy class of cyclic subgroups, as a
+transform of length o = the order of its generator, O(o^2) per character;
+the classes of the powers g^t it reads are found by multiplying the
+representative g, o - 1 permutation products.
 
 `compare_tables` decides whether two tables differ only by relabeling of
 classes and characters, which is the honest notion of equality between a
 generated table and an oracle table: neither naming scheme survives the
-round trip.
+round trip; its search compares one integer id per row per class tried.
 """
 
 from __future__ import annotations
@@ -206,19 +207,17 @@ def enumerate_and_classify(group: PermGroup) -> ClassData:
     Classes are ordered identity first, then by (size, element order,
     lexicographically smallest member); the representative of each class
     is that smallest member, so the result is a pure function of the
-    group, independent of generator order.  A group with more elements
-    than ``CHARTAB_ORACLE_LIMIT`` (default 200000) raises
-    `GroupTooLargeError` during enumeration.
+    group, independent of generator order.  Orbits, not elements, are
+    sorted.  A group with more elements than ``CHARTAB_ORACLE_LIMIT``
+    (default 200000) raises `GroupTooLargeError` during enumeration.
     """
-    elements = sorted(_enumerate_elements(group))
+    remaining = _enumerate_elements(group)
+    group_order = len(remaining)
     gens = group.generators
     ginvs = [_invert(g) for g in gens]
-    class_of: dict[Perm, int] = {}
-    orbits: list[tuple[Perm, int]] = []
-    for x in elements:
-        if x in class_of:
-            continue
-        idx = len(orbits)
+    keyed = []
+    while remaining:
+        x = remaining.pop()
         orbit = {x}
         frontier = [x]
         while frontier:
@@ -228,29 +227,14 @@ def enumerate_and_classify(group: PermGroup) -> ClassData:
                 if w not in orbit:
                     orbit.add(w)
                     frontier.append(w)
-        for w in orbit:
-            class_of[w] = idx
-        # x == min(orbit): the first member reached in sorted element order
-        orbits.append((x, len(orbit)))
-
-    identity = tuple(range(group.degree))
-    keyed = []
-    for old_idx, (rep, size) in enumerate(orbits):
-        sort_key = (0,) if rep == identity else (1, size, _perm_order(rep), rep)
-        keyed.append((sort_key, old_idx, rep, size))
-    keyed.sort()
-    renumber = {old_idx: new for new, (_, old_idx, _, _) in enumerate(keyed)}
-    reps = tuple(item[2] for item in keyed)
-    sizes = tuple(item[3] for item in keyed)
-    orders = tuple(_perm_order(rep) for rep in reps)
-    class_of = {x: renumber[i] for x, i in class_of.items()}
-    return ClassData(
-        group_order=len(elements),
-        representatives=reps,
-        sizes=sizes,
-        element_orders=orders,
-        class_of=class_of,
-    )
+        remaining -= orbit
+        rep = min(orbit)
+        keyed.append(((len(orbit), _perm_order(rep), rep), orbit))
+    # only the identity has size 1 and order 1, so it sorts first
+    keyed.sort(key=itemgetter(0))
+    class_of = {x: idx for idx, (_, orbit) in enumerate(keyed) for x in orbit}
+    sizes, orders, reps = zip(*(key for key, _ in keyed))
+    return ClassData(group_order, reps, sizes, orders, class_of)
 
 
 # ---------------------------------------------------------------------------
@@ -373,28 +357,30 @@ def _split_subspace(basis, pivots, mat, p):
     basis is in reduced row echelon form, so coordinates of any vector in
     the subspace can be read off its pivot columns.  mat is a class matrix
     as its nonzero (row, col, count) entries; the image of each basis
-    vector costs one pass over them.  The d x d restriction to the subspace
-    is checked for invariance, its eigenvalues are the roots of its
-    characteristic polynomial, and each eigenvalue, ascending, costs one
-    kernel.  Returns a list of (basis, pivots) pieces, or None when mat
+    vector costs one pass over them, and its pivot coordinates are a
+    column of the d x d restriction.  The eigenvalues of the restriction
+    are the roots of its characteristic polynomial, and each eigenvalue,
+    ascending, costs one kernel.  Returns a list of (basis, pivots) pieces, or None when mat
     does not act diagonalizably on the subspace (the caller then retries
     with another prime).
+
+    The subspace is never checked for invariance, as it always is: matrix
+    i has entry a_ij^k in row j, column k, where K_i K_j = sum_k a_ij^k K_k,
+    and the class algebra is commutative and associative, so
+    sum_m a_ij^m a_lm^k = sum_m a_lj^m a_im^k, that is M_i M_l = M_l M_i
+    over the integers and mod p.  An eigenspace of one M_l on a subspace
+    invariant under every M_i is again invariant: M_l M_i v = lam M_i v.
     """
-    r = len(basis[0])
     d = len(basis)
-    restriction = []
+    images = []
     for bvec in basis:
-        image = [0] * r
+        image = [0] * len(bvec)
         for row, col, count in mat:
             image[row] += count * bvec[col]
-        image = [x % p for x in image]
-        coords = [image[pc] for pc in pivots]
-        if _combine(coords, basis, p) != image:
-            return None  # subspace not invariant mod p
-        restriction.append(coords)
-    # right eigenvectors of the transposed restriction give coefficient
+        images.append(image)
+    # the transposed restriction: its right eigenvectors give coefficient
     # vectors over the subspace basis
-    transposed = [[restriction[s][t] for s in range(d)] for t in range(d)]
+    transposed = [[image[pc] % p for image in images] for pc in pivots]
     pieces = []
     found = 0
     for lam in _eigenvalues(transposed, p):
@@ -771,6 +757,12 @@ def compare_tables(a: CharacterTable, b: CharacterTable) -> TableComparison:
     Values are compared semantically: both tables are rewritten into the
     smallest common cyclotomic field first, so differing conductors for
     equal values never cause a spurious mismatch.
+
+    The search runs on integer ids from one dict shared by both tables:
+    values get ids in the order of their joint-conductor keys, and a row's
+    history, its values on the columns assigned so far (-1 before any),
+    grows by giving each pair (history id, value id) the next free id.
+    Equal ids mean equal values or equal histories.
     """
 
     def fail(reason: str) -> TableComparison:
@@ -797,24 +789,21 @@ def compare_tables(a: CharacterTable, b: CharacterTable) -> TableComparison:
         )
 
     joint = lcm(*(v.conductor for v in a.palette + b.palette))
-
-    def joint_values(table: CharacterTable) -> list[list[tuple]]:
-        keys = [v.embed(joint).key() for v in table.palette]
-        return [[keys[i] for i in row] for row in table.rows]
-
-    vals_a = joint_values(a)
-    vals_b = joint_values(b)
+    keys_a, keys_b = ([v.embed(joint).key() for v in t.palette] for t in (a, b))
+    ids = {key: n for n, key in enumerate(sorted({*keys_a, *keys_b}))}
     r = a.num_classes
-    nrows = len(vals_a)
 
-    def column_invariant(table, vals, degrees, j):
-        info = table.classes[j]
-        profile = (info.size, info.element_order)
-        pairs = Counter((degrees[i], vals[i][j]) for i in range(nrows))
-        return (profile, tuple(sorted(pairs.items())))
+    def columns(table, keys, degrees):
+        # columns as value ids; invariant: (size, order), (degree, value) multiset
+        value_ids = [ids[key] for key in keys]
+        cols = [tuple(value_ids[row[j]] for row in table.rows) for j in range(r)]
+        return cols, [
+            ((c.size, c.element_order), tuple(sorted(Counter(zip(degrees, col)).items())))
+            for c, col in zip(table.classes, cols)
+        ]
 
-    invariant_a = [column_invariant(a, vals_a, degrees_a, j) for j in range(r)]
-    invariant_b = [column_invariant(b, vals_b, degrees_b, j) for j in range(r)]
+    cols_a, invariant_a = columns(a, keys_a, degrees_a)
+    cols_b, invariant_b = columns(b, keys_b, degrees_b)
     if Counter(invariant_a) != Counter(invariant_b):
         return fail("no class correspondence: per-class value profiles differ")
 
@@ -829,36 +818,35 @@ def compare_tables(a: CharacterTable, b: CharacterTable) -> TableComparison:
     used = [False] * r
     assignment = [0] * r
 
-    def search(t, sig_a, sig_b) -> bool:
-        # sig_a[i] / sig_b[i]: the row's values along the columns assigned
-        # so far; equal multisets are necessary for any completion
+    def search(t, hist_a, hist_b):
+        # equal multisets of histories are necessary for any completion
         if t == r:
-            return True
+            return hist_a, hist_b
         i = column_order[t]
+        next_a = [ids.setdefault(pair, len(ids)) for pair in zip(hist_a, cols_a[i])]
+        count_a = Counter(next_a)
         for j in buckets[invariant_a[i]]:
             if used[j]:
                 continue
-            next_a = tuple(sig_a[x] + (vals_a[x][i],) for x in range(nrows))
-            next_b = tuple(sig_b[x] + (vals_b[x][j],) for x in range(nrows))
-            if Counter(next_a) != Counter(next_b):
+            next_b = [ids.setdefault(pair, len(ids)) for pair in zip(hist_b, cols_b[j])]
+            if Counter(next_b) != count_a:
                 continue
             used[j] = True
             assignment[i] = j
-            if search(t + 1, next_a, next_b):
-                return True
+            found = search(t + 1, next_a, next_b)
+            if found is not None:
+                return found
             used[j] = False
-        return False
+        return None
 
-    empty = tuple(() for _ in range(nrows))
-    if not search(0, empty, empty):
+    start = [-1] * len(a.rows)
+    found = search(0, start, start)
+    if found is None:
         return fail("no class correspondence aligns the character values")
 
-    signature_to_b_rows: dict[tuple, list[int]] = {}
-    for y in range(nrows):
-        sig = tuple(vals_b[y][assignment[i]] for i in column_order)
-        signature_to_b_rows.setdefault(sig, []).append(y)
-    row_map = []
-    for x in range(nrows):
-        sig = tuple(vals_a[x][i] for i in column_order)
-        row_map.append(signature_to_b_rows[sig].pop(0))
-    return TableComparison(True, None, tuple(assignment), tuple(row_map))
+    # equal rows are possible in a malformed table: match them in order
+    rows_b: dict[int, list[int]] = {}
+    for y, history in enumerate(found[1]):
+        rows_b.setdefault(history, []).append(y)
+    row_map = tuple(rows_b[history].pop(0) for history in found[0])
+    return TableComparison(True, None, tuple(assignment), row_map)

@@ -57,12 +57,16 @@ from chartab.tables import (
 )
 
 K_MAX_LIMIT = 10**6
+# bits a scan of rows 0..k_max may print, about 7 s of CSV on two cores
+SCAN_BIT_LIMIT = 2**27
 # floor(log2 |G|) from which closed forms are refused: at n = 10^6 a
 # dihedral scan row already takes seconds, and the time grows as n^2
 CLOSED_FORM_BIT_LIMIT = 10**6
 
 
 class StatKind(Enum):
+    """A statistic, named after the `StatRecord` field it reads."""
+
     Z_ELEM = "zI"
     Z_CLASS = "zII"
     U_ELEM = "uI"
@@ -72,11 +76,19 @@ class StatKind(Enum):
 
     @property
     def field(self) -> str:
-        return _KIND_FIELDS[self]
+        return self.name.lower()
 
     @property
     def element_weighted(self) -> bool:
-        return self in (StatKind.Z_ELEM, StatKind.U_ELEM, StatKind.THETA_ELEM)
+        return self.name.endswith("_ELEM")
+
+    @property
+    def counts_zeros(self) -> bool:
+        return self.name.startswith(("Z_", "THETA_"))
+
+    @property
+    def counts_units(self) -> bool:
+        return self.name.startswith(("U_", "THETA_"))
 
 
 def render_decimal(value: Rational, places: int = 12) -> str:
@@ -111,16 +123,6 @@ class StatRecord:
     def to_json(self) -> dict:
         values = {kind.field: self.get(kind) for kind in StatKind}
         return {f: {"fraction": str(v), "decimal": render_decimal(v)} for f, v in values.items()}
-
-
-_KIND_FIELDS = {
-    StatKind.Z_ELEM: "z_elem",
-    StatKind.Z_CLASS: "z_class",
-    StatKind.U_ELEM: "u_elem",
-    StatKind.U_CLASS: "u_class",
-    StatKind.THETA_ELEM: "theta_elem",
-    StatKind.THETA_CLASS: "theta_class",
-}
 
 
 def _record(z_elem, z_class, u_elem, u_class) -> StatRecord:
@@ -438,6 +440,21 @@ def compose(terms: Iterable[tuple[StatRecord, int]]) -> StatRecord:
     return StatRecord(1 - nonzero_elem, 1 - nonzero_class, u_elem, u_class)
 
 
+def check_scan_size(bases: Iterable[Fraction], k_max: int) -> None:
+    """Refuse a scan whose rows 0..k_max would pass `SCAN_BIT_LIMIT` bits.
+
+    Row k raises each base (1 - z for zeros, u for units) to the k-th
+    power, so it takes about k * b bits, b the numerator plus denominator
+    bit lengths of the bases; a base of 0 or 1 has constant powers."""
+    b = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in bases if 0 < x < 1)
+    bits = b * k_max * (k_max + 1) // 2
+    if bits > SCAN_BIT_LIMIT:
+        raise InvalidParameterError(
+            f"a scan to k = {k_max} would print about {bits} bits, "
+            f"above the guard {SCAN_BIT_LIMIT}"
+        )
+
+
 def z_sequence(z0: Rational, z_step: Rational, k_max: int) -> list[Fraction]:
     """z(k) = 1 - (1 - z0)(1 - z_step)^k for k = 0..k_max, by `compose`.
 
@@ -450,6 +467,7 @@ def z_sequence(z0: Rational, z_step: Rational, k_max: int) -> list[Fraction]:
     if not 0 <= k_max <= K_MAX_LIMIT:
         raise ValueError(f"k_max must lie in [0, {K_MAX_LIMIT}], got {k_max}")
     start, factor = _record(z, z, 0, 0), _record(step, step, 0, 0)
+    check_scan_size([1 - step], k_max)
     return [compose([(start, 1), (factor, k)]).z_elem for k in range(k_max + 1)]
 
 

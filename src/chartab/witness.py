@@ -295,8 +295,6 @@ def _scan_sequence(
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_COUNTS_ZEROS = {StatKind.Z_ELEM, StatKind.Z_CLASS, StatKind.THETA_ELEM, StatKind.THETA_CLASS}
-_COUNTS_UNITS = {StatKind.U_ELEM, StatKind.U_CLASS, StatKind.THETA_ELEM, StatKind.THETA_CLASS}
 
 
 def _smallest(start: int, accept: Callable[[int], bool]) -> int:
@@ -469,9 +467,9 @@ def _scan_constants(kind: StatKind, base: _Pick | None, step: _Pick) -> tuple[Fr
     """
     z_b, u_b = (_ZERO, _ONE) if base is None else (base.z, base.u)
     c0, c1, r1, c2, r2 = _ZERO, _ZERO, _ONE, _ZERO, _ONE
-    if kind in _COUNTS_ZEROS:
+    if kind.counts_zeros:
         c0, c1, r1 = _ONE, -(1 - z_b), 1 - step.z
-    if kind in _COUNTS_UNITS:
+    if kind.counts_units:
         c2, r2 = u_b, step.u
     return c0, c1, r1 if c1 else _ONE, c2, r2 if c2 else _ONE
 

@@ -311,6 +311,19 @@ def test_scan_rejects_kmax_past_limit(capsys):
     assert "--kmax must lie in [0, 1000000]" in err
 
 
+def test_scan_prints_below_the_size_guard(capsys):
+    # about 8.0e7 of the 2^27 bits the guard allows
+    code, out, err = run(
+        capsys,
+        "scan", "--stat", "zI", "--scope", "group",
+        "--family-params", "dihedral:2", "--kmax", "4000", "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 4002
+    assert lines[-1].startswith("4000,")
+
+
 def test_character_scan_skips_the_group_record(capsys, monkeypatch):
     # the group record of psl2even(40) counts order-3 pairs in O(2^40) steps
     def refuse(c, n):
@@ -521,6 +534,11 @@ def test_class_guard_refuses_a_huge_parameter_fast(capsys):
           "--family-params", "psl2even:40", "--kmax", "1"),
          "the group record of psl2even(40) walks 1099511627777 classes, "
          "above the guard 1000000\n"),
+        # row k of a zI scan of dihedral(2) is (17/20)^k: about 10k bits
+        (("scan", "--stat", "zI", "--scope", "group",
+          "--family-params", "dihedral:2", "--kmax", "10000", "--format", "csv"),
+         "a scan to k = 10000 would print about 500050000 bits, "
+         "above the guard 134217728\n"),
     ],
 )
 def test_guards_refuse_a_huge_parameter_in_constant_memory(capsys, argv, line):
@@ -613,6 +631,36 @@ def test_table_outputs_match_recorded_digests(capsys):
                 digest.update(capsys.readouterr().out.encode())
         got[family, param] = digest.hexdigest()
     assert got == TABLE_OUTPUT_DIGESTS
+
+
+# sha256 of the stdout of `verify`, json then pretty, over the families of
+# the benchmark's certify pool; recorded before `compare_tables` decided on
+# integer ids and before the oracle stopped sorting the group
+VERIFY_OUTPUT_DIGESTS = {
+    ("dihedral", 1): "381de7dda68c37fcd038ae6b8ea93dc06c8e68518d4e497c36fe6f3ced3d39fc",
+    ("dihedral", 2): "142e37f48e14f23368ad1d55c580a6722ecacef99924abfdbe8b22b41457065a",
+    ("dihedral", 3): "10f265bb367ec2e18e37c582eb4aa68e49ddb7bcbff7094d123230db4d8c8128",
+    ("dihedral", 4): "3d94bebf58dcf06c684366c6660445bca291e6c2cc0b92eeca3f2536bffe09f2",
+    ("dihedral", 5): "b5d7b82bb897152722d4ff37a6477e89029f5a6d2e8a127770d25ee9280aa932",
+    ("dihedral", 6): "81ff9c08249f4fab0fe888ab2d53f699391789e5d129bf31d0b9a2d2c25b6690",
+    ("extraspecial2", 1): "aa9c6020ecfc67d5963629ab46ee4279149aeb8b86f38e8ec7d6d5be74248239",
+    ("extraspecial2", 2): "01aa66ae56df7771fb7d738b2286681251e06164981016c7e598998e2f360461",
+    ("extraspecial2", 3): "77ae29bc0f0206aeaeac74bf86cec206c636c38868f194e5c976870df731f2ec",
+    ("psl2even", 1): "09dbb4350b5d6b2fc2e49f43fbb34d9d1cb48864f854e29dc1e6ba16eb038798",
+    ("psl2even", 2): "a41c98e9e7eb6bbca0b59b597a2c0c875dc10f0be2353a46fb83f5f04b59a4a0",
+    ("psl2even", 3): "fca19ce034dcc0fa98f8ce7bf1fdb8a2e409294cc910507961e41fa2b9c3dc18",
+}
+
+
+def test_verify_outputs_match_recorded_digests(capsys):
+    got = {}
+    for family, param in VERIFY_OUTPUT_DIGESTS:
+        digest = hashlib.sha256()
+        for fmt in ("json", "pretty"):
+            assert main(["verify", family, str(param), "--format", fmt]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        got[family, param] = digest.hexdigest()
+    assert got == VERIFY_OUTPUT_DIGESTS
 
 
 # ---------------------------------------------------------------------------

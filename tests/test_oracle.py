@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from compare_reference import reference_compare_tables
 from oracle_reference import reference_character_table, reference_eigenvalues
 
 from chartab.oracle import (
@@ -11,6 +12,7 @@ from chartab.oracle import (
     _cyclic_subgroup_classes,
     _eigenvalues,
     _mul,
+    _structure_constants,
     builtin_perm_group,
     compare_tables,
     dixon_character_table,
@@ -333,6 +335,107 @@ def test_compare_detects_value_disagreement():
     result = compare_tables(d8, tampered)
     assert not result.matched
     assert "no class correspondence" in result.reason
+
+
+def _relabeled(t: CharacterTable, characters, rng: random.Random) -> CharacterTable:
+    """The value rows `characters` of t with classes and rows permuted at
+    random; class 0 stays first, because `degrees` reads column 0."""
+    class_perm = [0, *rng.sample(range(1, t.num_classes), t.num_classes - 1)]
+    row_perm = rng.sample(range(len(characters)), len(characters))
+    return CharacterTable.from_values(
+        "relabeled", t.group_order, tuple(t.classes[i] for i in class_perm),
+        tuple(f"y{x}" for x in range(len(characters))),
+        tuple(tuple(characters[x][i] for i in class_perm) for x in row_perm),
+    )
+
+
+def _perturbed(t: CharacterTable, rng: random.Random) -> CharacterTable:
+    """t with one seeded change off the identity column: two cells swapped
+    in a row or in a column, or one cell replaced by another palette value."""
+    rows = [list(row) for row in t.characters]
+    x, y = rng.randrange(len(rows)), rng.randrange(len(rows))
+    i, j = rng.randrange(1, t.num_classes), rng.randrange(1, t.num_classes)
+    kind = rng.choice(["row", "column", "cell"])
+    if kind == "row":
+        rows[x][i], rows[x][j] = rows[x][j], rows[x][i]
+    elif kind == "column":
+        rows[x][i], rows[y][i] = rows[y][i], rows[x][i]
+    else:
+        rows[x][i] = rng.choice([v for v in t.palette if v != rows[x][i]])
+    return CharacterTable.from_values(
+        t.group_name, t.group_order, t.classes, t.character_names, tuple(map(tuple, rows))
+    )
+
+
+COMPARE_SPECS = [
+    *(Dihedral(n) for n in range(1, 6)),
+    *(Extraspecial2(n) for n in (1, 2)),
+    *(Psl2Even(r) for r in range(1, 5)),
+    Product((Dihedral(2), Psl2Even(2))),
+    Product((Extraspecial2(1), Dihedral(3))),
+]
+
+
+def test_compare_matches_the_reference():
+    rng = random.Random(20261019)
+    outcomes = []
+    for spec in COMPARE_SPECS:
+        generated = build_table(spec)
+        found = dixon_character_table(builtin_perm_group(spec))
+        shuffles = [_relabeled(found, found.characters, rng) for _ in range(31)]
+        pairs = [(generated, found), (generated, shuffles[0])]
+        pairs += [(generated, _perturbed(s, rng)) for s in shuffles[1:]]
+        pairs += [(_perturbed(generated, rng), found) for _ in range(10)]
+        for a, b in pairs:
+            result = compare_tables(a, b)
+            assert result == reference_compare_tables(a, b), spec
+            if result:
+                assert sorted(result.row_map) == list(range(len(a.rows)))
+            outcomes.append(result.reason)
+    # the cases reach a match and both search failures
+    assert None in outcomes
+    assert "no class correspondence: per-class value profiles differ" in outcomes
+    assert "no class correspondence aligns the character values" in outcomes
+
+
+def test_compare_maps_equal_rows_to_distinct_rows():
+    # row 1 replaced by a copy of row 0: malformed, but still a relabeling
+    d8 = dihedral_table(2)
+    rows = list(d8.characters)
+    rows[1] = rows[0]
+    twin = CharacterTable.from_values(
+        d8.group_name, d8.group_order, d8.classes, d8.character_names, tuple(rows)
+    )
+    rng = random.Random(5)
+    for b in [twin] + [_relabeled(twin, twin.characters, rng) for _ in range(10)]:
+        result = compare_tables(twin, b)
+        assert result == reference_compare_tables(twin, b)
+        assert sorted(result.row_map) == list(range(5))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Dihedral(3), Extraspecial2(2), Psl2Even(2), Psl2Even(3),
+     Product((Extraspecial2(1), Psl2Even(1)))],
+    ids=repr,
+)
+def test_class_matrices_commute(spec):
+    # the eigenspace split relies on this and does not re-check invariance
+    data = enumerate_and_classify(builtin_perm_group(spec))
+    r = data.num_classes
+    dense = []
+    for entries in _structure_constants(data):
+        mat = [[0] * r for _ in range(r)]
+        for j, k, count in entries:
+            mat[j][k] = count
+        dense.append(mat)
+
+    def product(m, n):
+        return [[sum(m[j][t] * n[t][k] for t in range(r)) for k in range(r)] for j in range(r)]
+
+    for i, m in enumerate(dense):
+        for n in dense[i + 1:]:
+            assert product(m, n) == product(n, m)
 
 
 # ---------------------------------------------------------------------------

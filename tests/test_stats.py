@@ -213,6 +213,16 @@ def test_theta_exceeds_one_third(table):
 # product recurrences
 
 
+def test_stat_kinds_state_their_field_weighting_and_counts():
+    z, zc, u, uc, t, tc = StatKind
+    assert [k.field for k in StatKind] == [
+        "z_elem", "z_class", "u_elem", "u_class", "theta_elem", "theta_class"
+    ]
+    assert [k for k in StatKind if k.element_weighted] == [z, u, t]
+    assert [k for k in StatKind if k.counts_zeros] == [z, zc, t, tc]
+    assert [k for k in StatKind if k.counts_units] == [u, uc, t, tc]
+
+
 def test_z_sequence_frozen():
     assert z_sequence(0, Fraction(1, 2), 3) == [
         0,
@@ -249,6 +259,10 @@ def test_sequence_input_validation():
         z_sequence(0, Fraction(1, 2), -1)
     with pytest.raises(ValueError):
         z_sequence(0, Fraction(1, 2), 10**6 + 1)
+    with pytest.raises(InvalidParameterError, match="above the guard 134217728"):
+        z_sequence(0, Fraction(3, 20), 10**4)
+    # powers of 1 - z_step = 1 stay 1 bit long: no refusal
+    assert z_sequence(Fraction(1, 2), 0, 10**4)[-1] == Fraction(1, 2)
     with pytest.raises(ValueError):
         u_power(Fraction(5, 4), 2)
     with pytest.raises(ValueError):
