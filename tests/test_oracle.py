@@ -337,9 +337,10 @@ def test_compare_detects_value_disagreement():
     assert "no class correspondence" in result.reason
 
 
-def _relabeled(t: CharacterTable, characters, rng: random.Random) -> CharacterTable:
-    """The value rows `characters` of t with classes and rows permuted at
-    random; class 0 stays first, because `degrees` reads column 0."""
+def _relabeled(t: CharacterTable, rng: random.Random) -> CharacterTable:
+    """t with classes and rows permuted at random; class 0 stays first,
+    because `degrees` reads column 0."""
+    characters = t.characters
     class_perm = [0, *rng.sample(range(1, t.num_classes), t.num_classes - 1)]
     row_perm = rng.sample(range(len(characters)), len(characters))
     return CharacterTable.from_values(
@@ -382,7 +383,7 @@ def test_compare_matches_the_reference():
     for spec in COMPARE_SPECS:
         generated = build_table(spec)
         found = dixon_character_table(builtin_perm_group(spec))
-        shuffles = [_relabeled(found, found.characters, rng) for _ in range(31)]
+        shuffles = [_relabeled(found, rng) for _ in range(31)]
         pairs = [(generated, found), (generated, shuffles[0])]
         pairs += [(generated, _perturbed(s, rng)) for s in shuffles[1:]]
         pairs += [(_perturbed(generated, rng), found) for _ in range(10)]
@@ -407,7 +408,7 @@ def test_compare_maps_equal_rows_to_distinct_rows():
         d8.group_name, d8.group_order, d8.classes, d8.character_names, tuple(rows)
     )
     rng = random.Random(5)
-    for b in [twin] + [_relabeled(twin, twin.characters, rng) for _ in range(10)]:
+    for b in [twin] + [_relabeled(twin, rng) for _ in range(10)]:
         result = compare_tables(twin, b)
         assert result == reference_compare_tables(twin, b)
         assert sorted(result.row_map) == list(range(5))
