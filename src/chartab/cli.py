@@ -7,9 +7,10 @@ search, `scan` tabulates a statistic along the powers of one family, and
 cross-checks it against the generator and the closed forms.
 
 Exit codes: 0 on success, 2 on usage errors (argparse), 1 on domain
-errors (an out-of-range target, a table past its size guard) with a
-diagnostic on standard error, and 1 without one when the reader closes
-standard output early.  Output is deterministic: identical
+errors (any `ChartabError`: an out-of-range target, a table past its size
+guard) and on running out of memory, with a one-line diagnostic on
+standard error, and 1 without one when the reader closes standard output
+early.  Output is deterministic: identical
 invocations produce identical bytes.  All fractions are parsed exactly;
 "0.75" means 3/4, not a float.
 """
@@ -23,9 +24,8 @@ import os
 import sys
 from fractions import Fraction
 
-from chartab.exactnum import InvalidConductorError, NotAlgebraicIntegerError
+from chartab.exactnum import ChartabError
 from chartab.oracle import (
-    GroupTooLargeError,
     builtin_perm_group,
     check_group_limit,
     compare_tables,
@@ -35,11 +35,11 @@ from chartab.stats import (
     K_MAX_LIMIT,
     StatKind,
     char_stats,
-    check_scan_size,
     closed_form_stats,
-    compose,
     group_stats,
     render_decimal,
+    scan_rows,
+    series,
 )
 from chartab.tables import (
     KINDS,
@@ -47,24 +47,12 @@ from chartab.tables import (
     Dihedral,
     FamilySpec,
     InvalidParameterError,
-    MalformedTableError,
     Psl2Even,
-    TableTooLargeError,
     build_table,
     spec_to_json,
     validate_table,
 )
 from chartab.witness import Scope, WitnessDomainError, find_witness
-
-_DOMAIN_ERRORS = (
-    InvalidParameterError,
-    TableTooLargeError,
-    GroupTooLargeError,
-    WitnessDomainError,
-    MalformedTableError,
-    InvalidConductorError,
-    NotAlgebraicIntegerError,
-)
 
 _STAT_FLAGS = [kind.value for kind in StatKind]
 _SCOPES = [scope.value for scope in Scope]
@@ -227,10 +215,7 @@ def _cmd_scan(args) -> int:
         record = cf.character
     else:
         record = cf.group
-    elem = kind.element_weighted
-    z, u = (record.z_elem, record.u_elem) if elem else (record.z_class, record.u_class)
-    check_scan_size([1 - z] * kind.counts_zeros + [u] * kind.counts_units, args.kmax)
-    rows = [(k, compose([(record, k)]).get(kind)) for k in range(args.kmax + 1)]
+    rows = list(enumerate(scan_rows(series(kind, None, record), args.kmax)))
 
     if args.format == "json":
         _emit_json(
@@ -402,8 +387,11 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except _DOMAIN_ERRORS as exc:
+    except ChartabError as exc:
         print(f"chartab: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("chartab: out of memory", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # The reader closed stdout (`| head`): stop quietly.  Unflushed bytes

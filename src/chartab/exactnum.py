@@ -32,11 +32,15 @@ Rational = Fraction
 Coeff = int | Fraction
 
 
-class InvalidConductorError(ValueError):
+class ChartabError(ValueError):
+    """Base of every domain error: the command line reports these as one line."""
+
+
+class InvalidConductorError(ChartabError):
     """Raised when a conductor is not a positive integer."""
 
 
-class NotAlgebraicIntegerError(ValueError):
+class NotAlgebraicIntegerError(ChartabError):
     """Raised when an operation requires integer power-basis coordinates."""
 
 

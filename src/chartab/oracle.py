@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from operator import itemgetter
 
-from chartab.exactnum import canonicalize, factorize
+from chartab.exactnum import ChartabError, canonicalize, factorize
 from chartab.tables import (
     CharacterTable,
     ClassInfo,
@@ -65,7 +65,7 @@ GROUP_LIMIT_ENV = "CHARTAB_ORACLE_LIMIT"
 Perm = tuple[int, ...]
 
 
-class GroupTooLargeError(ValueError):
+class GroupTooLargeError(ChartabError):
     """Group closure exceeded the element limit."""
 
     def __init__(self, limit: int) -> None:
@@ -818,10 +818,10 @@ def compare_tables(a: CharacterTable, b: CharacterTable) -> TableComparison:
     used = [False] * r
     assignment = [0] * r
 
-    def search(t, hist_a, hist_b):
-        # equal multisets of histories are necessary for any completion
-        if t == r:
-            return hist_a, hist_b
+    def extensions(t, hist_a, hist_b):
+        # each candidate for column_order[t], assigned, with the histories
+        # after it; equal multisets of histories are necessary for any
+        # completion.  Resumed only when the deeper search failed.
         i = column_order[t]
         next_a = [ids.setdefault(pair, len(ids)) for pair in zip(hist_a, cols_a[i])]
         count_a = Counter(next_a)
@@ -833,16 +833,20 @@ def compare_tables(a: CharacterTable, b: CharacterTable) -> TableComparison:
                 continue
             used[j] = True
             assignment[i] = j
-            found = search(t + 1, next_a, next_b)
-            if found is not None:
-                return found
+            yield next_a, next_b
             used[j] = False
-        return None
 
+    # depth first, one generator per assigned column: no recursion limit
     start = [-1] * len(a.rows)
-    found = search(0, start, start)
-    if found is None:
-        return fail("no class correspondence aligns the character values")
+    found, stack = (start, start), []
+    while len(stack) < r:
+        if found is not None:
+            stack.append(extensions(len(stack), *found))
+        found = next(stack[-1], None)
+        if found is None:
+            stack.pop()
+            if not stack:
+                return fail("no class correspondence aligns the character values")
 
     # equal rows are possible in a malformed table: match them in order
     rows_b: dict[int, list[int]] = {}

@@ -17,8 +17,9 @@ table.
 
 Closed forms are provided for the three generated families and are
 cross-checked against the generated tables in the test suite.  Two
-composition rules cover direct products, and `compose` is their one
-evaluator:
+composition rules cover direct products, stated here only: `series`
+solves them for base * step^k, and `compose`, which evaluates any product
+of powers, is how `verify_witness` checks what `series` produced:
 
 * zero fractions always compose as 1 - z(a x b) = (1 - z(a))(1 - z(b)),
   because a product entry vanishes exactly when a factor does;
@@ -62,6 +63,8 @@ SCAN_BIT_LIMIT = 2**27
 # floor(log2 |G|) from which closed forms are refused: at n = 10^6 a
 # dihedral scan row already takes seconds, and the time grows as n^2
 CLOSED_FORM_BIT_LIMIT = 10**6
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class StatKind(Enum):
@@ -119,6 +122,12 @@ class StatRecord:
 
     def get(self, kind: StatKind) -> Fraction:
         return getattr(self, kind.field)
+
+    def weighted(self, kind: StatKind) -> tuple[Fraction, Fraction]:
+        """(z, u) in the weighting of kind: the one place it is chosen."""
+        if kind.element_weighted:
+            return self.z_elem, self.u_elem
+        return self.z_class, self.u_class
 
     def to_json(self) -> dict:
         values = {kind.field: self.get(kind) for kind in StatKind}
@@ -422,41 +431,67 @@ def _check_unit_interval(value: Fraction, name: str) -> Fraction:
     return value
 
 
-def compose(terms: Iterable[tuple[StatRecord, int]]) -> StatRecord:
-    """Statistics of a direct product of factors raised to powers.
+def compose(terms: Iterable[tuple[StatRecord, int]], kind: StatKind) -> Fraction:
+    """The statistic kind of a direct product of factors raised to powers.
 
     The product rule: 1 - z multiplies across factors, and so does u.  The
     zero rule always holds; the unit rule carries the hypothesis `u_power`
-    documents.  The empty product is the trivial group: z = 0, u = 1.
+    documents.  Only what kind counts is multiplied.  The empty product is
+    the trivial group: z = 0, u = 1.
     """
-    nonzero_elem = nonzero_class = u_elem = u_class = Fraction(1)
+    nonzero = units = _ONE
     for rec, power in terms:
         if power < 0:
             raise InvalidParameterError(f"powers must be >= 0, got {power}")
-        nonzero_elem *= (1 - rec.z_elem) ** power
-        nonzero_class *= (1 - rec.z_class) ** power
-        u_elem *= rec.u_elem**power
-        u_class *= rec.u_class**power
-    return StatRecord(1 - nonzero_elem, 1 - nonzero_class, u_elem, u_class)
+        z, u = rec.weighted(kind)
+        if kind.counts_zeros:
+            nonzero *= (1 - z) ** power
+        if kind.counts_units:
+            units *= u**power
+    return (1 - nonzero if kind.counts_zeros else _ZERO) + (units if kind.counts_units else _ZERO)
 
 
-def check_scan_size(bases: Iterable[Fraction], k_max: int) -> None:
-    """Refuse a scan whose rows 0..k_max would pass `SCAN_BIT_LIMIT` bits.
+def series(kind: StatKind, base: StatRecord | None, step: StatRecord) -> tuple[Fraction, ...]:
+    """(c0, c1, r1, c2, r2): the statistic kind of base * step^k is
+    c0 + c1*r1^k + c2*r2^k, by the product rule of `compose`, with a base
+    of None the trivial group.  c1 <= 0 <= c2, the ratios lie in [0, 1],
+    and a term of coefficient zero keeps ratio 1, so nothing is powered.
+    """
+    z_b, u_b = (_ZERO, _ONE) if base is None else base.weighted(kind)
+    z_s, u_s = step.weighted(kind)
+    c0, c1, r1, c2, r2 = _ZERO, _ZERO, _ONE, _ZERO, _ONE
+    if kind.counts_zeros:
+        c0, c1, r1 = _ONE, -(1 - z_b), 1 - z_s
+    if kind.counts_units:
+        c2, r2 = u_b, u_s
+    return c0, c1, r1 if c1 else _ONE, c2, r2 if c2 else _ONE
 
-    Row k raises each base (1 - z for zeros, u for units) to the k-th
-    power, so it takes about k * b bits, b the numerator plus denominator
-    bit lengths of the bases; a base of 0 or 1 has constant powers."""
-    b = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in bases if 0 < x < 1)
+
+def scan_rows(constants: Sequence[Fraction], k_max: int) -> list[Fraction]:
+    """c0 + c1*r1^k + c2*r2^k for k = 0..k_max (constants from `series`),
+    each power one product from the one before.  Row k takes about k * b
+    bits, b the numerator and denominator bit lengths of the ratios inside
+    (0, 1); rows past `SCAN_BIT_LIMIT` bits in all are refused up front.
+    """
+    c0, c1, r1, c2, r2 = constants
+    b = sum(r.numerator.bit_length() + r.denominator.bit_length() for r in (r1, r2) if 0 < r < 1)
     bits = b * k_max * (k_max + 1) // 2
     if bits > SCAN_BIT_LIMIT:
         raise InvalidParameterError(
             f"a scan to k = {k_max} would print about {bits} bits, "
             f"above the guard {SCAN_BIT_LIMIT}"
         )
+    terms = [[c, r] for c, r in ((c1, r1), (c2, r2)) if c]  # [c * r^k, r], c != 0
+    rows = []
+    for _ in range(k_max + 1):
+        rows.append(sum((term[0] for term in terms), c0))
+        for term in terms:
+            term[0] *= term[1]
+    return rows
 
 
 def z_sequence(z0: Rational, z_step: Rational, k_max: int) -> list[Fraction]:
-    """z(k) = 1 - (1 - z0)(1 - z_step)^k for k = 0..k_max, by `compose`.
+    """z(k) = 1 - (1 - z0)(1 - z_step)^k for k = 0..k_max, by `scan_rows`.
 
     This is the exact zero statistic of x * y^k given z(x) = z0 and
     z(y) = z_step.  It obeys z(k+1) = z(k) + (1 - z(k)) * z_step, so the
@@ -467,8 +502,7 @@ def z_sequence(z0: Rational, z_step: Rational, k_max: int) -> list[Fraction]:
     if not 0 <= k_max <= K_MAX_LIMIT:
         raise ValueError(f"k_max must lie in [0, {K_MAX_LIMIT}], got {k_max}")
     start, factor = _record(z, z, 0, 0), _record(step, step, 0, 0)
-    check_scan_size([1 - step], k_max)
-    return [compose([(start, 1), (factor, k)]).z_elem for k in range(k_max + 1)]
+    return scan_rows(series(StatKind.Z_ELEM, start, factor), k_max)
 
 
 def u_power(u0: Rational, k: int) -> Fraction:
@@ -484,7 +518,7 @@ def u_power(u0: Rational, k: int) -> Fraction:
     u = _check_unit_interval(u0, "u0")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return compose([(_record(0, 0, u, u), k)]).u_elem
+    return compose([(_record(0, 0, u, u), k)], StatKind.U_ELEM)
 
 
 def theta_master(l: int, m: int, k: int) -> Fraction:
@@ -497,4 +531,4 @@ def theta_master(l: int, m: int, k: int) -> Fraction:
         raise InvalidParameterError(f"need l, m >= 1 and k >= 0, got {l}, {m}, {k}")
     g = closed_form_stats(Dihedral(l)).group
     h = closed_form_stats(Extraspecial2(m)).group
-    return compose([(g, 1), (h, k)]).theta_elem
+    return compose([(g, 1), (h, k)], StatKind.THETA_ELEM)

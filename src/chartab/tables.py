@@ -41,20 +41,20 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import gcd, lcm, prod
 
-from chartab.exactnum import Cyclotomic, canonicalize
+from chartab.exactnum import ChartabError, Cyclotomic, canonicalize
 
 DEFAULT_CLASS_LIMIT = 10**6
 
 
-class InvalidParameterError(ValueError):
+class InvalidParameterError(ChartabError):
     """Raised when a family parameter is outside the supported range."""
 
 
-class TableTooLargeError(ValueError):
+class TableTooLargeError(ChartabError):
     """Raised when a requested table exceeds the class-count guard."""
 
 
-class MalformedTableError(ValueError):
+class MalformedTableError(ChartabError):
     """Raised when a table fails a structural lookup (unknown class name, ...)."""
 
 

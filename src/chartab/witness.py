@@ -6,11 +6,11 @@ distinguished character at character scope, and a product exponent k)
 whose exact statistic lies strictly within epsilon of the target.
 
 Every witness is a base factor (absent for pure powers) times the k-th
-power of a step factor, so the product rule (1 - z and u both multiply
-across factors) gives its statistic as c0 + c1*r1^k + c2*r2^k.  The plan
-table `_PLANS` holds, per (statistic, scope), the base and step families,
-the rule that picks each parameter (the smallest value from a start that a
-predicate accepts), the first k, and the trail texts.  The rules make the
+power of a step factor, so its statistic is c0 + c1*r1^k + c2*r2^k with
+the constants of `chartab.stats.series`.  The plan table `_PLANS` holds,
+per (statistic, scope), the base and step families, the rule that picks
+each parameter (the smallest value from a start that a predicate
+accepts), the first k, and the trail texts.  The rules make the
 sequence start next to one end of the target range and move toward the
 other in steps below epsilon, so it cannot jump over the band; the first k
 inside it is returned.  Minimal parameters and first hits make the output
@@ -41,6 +41,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 
+from chartab.exactnum import ChartabError
 from chartab.stats import (
     ClosedFormStats,
     Counts,
@@ -51,6 +52,7 @@ from chartab.stats import (
     count_factor,
     fold_counts,
     render_decimal,
+    series,
 )
 from chartab.tables import (
     Dihedral,
@@ -76,11 +78,11 @@ class Scope(Enum):
     GROUP = "group"
 
 
-class WitnessDomainError(ValueError):
+class WitnessDomainError(ChartabError):
     """Raised when a query's target or epsilon is outside the valid range."""
 
 
-class WitnessInconsistencyError(ValueError):
+class WitnessInconsistencyError(ChartabError):
     """Raised when a witness fails independent re-verification."""
 
 
@@ -293,10 +295,6 @@ def _scan_sequence(
         k = max(k_a, k_b)
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 def _smallest(start: int, accept: Callable[[int], bool]) -> int:
     """Smallest p >= start with accept(p), trying at most PARAM_GUARD values."""
     for p in range(start, start + PARAM_GUARD):
@@ -317,7 +315,7 @@ class _Pick:
     spec: FamilySpec
     p: int
     scope: Scope
-    element: bool
+    kind: StatKind
 
     @cached_property
     def closed_form(self) -> ClosedFormStats:
@@ -330,11 +328,11 @@ class _Pick:
 
     @property
     def z(self) -> Fraction:
-        return self.record.z_elem if self.element else self.record.z_class
+        return self.record.weighted(self.kind)[0]
 
     @property
     def u(self) -> Fraction:
-        return self.record.u_elem if self.element else self.record.u_class
+        return self.record.weighted(self.kind)[1]
 
     def factor(self, power: int) -> WitnessFactor:
         name = self.closed_form.character_name if self.scope is Scope.CHARACTER else None
@@ -425,7 +423,7 @@ _PLANS = {
             (f"m = {s.p}", "smallest m with z(H) < epsilon", s.z),
             hit,
             ("u part", "u(G) * u(H)^k at the accepted k",
-             compose([(b.record, 1), (s.record, k)]).u_elem),
+             compose([(b.record, 1), (s.record, k)], StatKind.U_ELEM)),
         ],
     ),
     # The other group-scope plans are powers of one 2-group, from k = 1.  z
@@ -458,22 +456,6 @@ _PLANS |= {
 }
 
 
-def _scan_constants(kind: StatKind, base: _Pick | None, step: _Pick) -> tuple[Fraction, ...]:
-    """(c0, c1, r1, c2, r2) with value(k) = c0 + c1*r1^k + c2*r2^k.
-
-    The product rule for base * step^k: 1 - z multiplies and u multiplies,
-    an absent base counting as z = 0, u = 1.  A term whose coefficient is
-    zero keeps ratio 1, so the scanner powers nothing for it.
-    """
-    z_b, u_b = (_ZERO, _ONE) if base is None else (base.z, base.u)
-    c0, c1, r1, c2, r2 = _ZERO, _ZERO, _ONE, _ZERO, _ONE
-    if kind.counts_zeros:
-        c0, c1, r1 = _ONE, -(1 - z_b), 1 - step.z
-    if kind.counts_units:
-        c2, r2 = u_b, step.u
-    return c0, c1, r1 if c1 else _ONE, c2, r2 if c2 else _ONE
-
-
 def find_witness(kind: StatKind, scope: Scope, target, epsilon) -> Witness:
     """A product expression whose exact statistic lies within epsilon of target.
 
@@ -487,12 +469,12 @@ def find_witness(kind: StatKind, scope: Scope, target, epsilon) -> Witness:
 
     def pick(rule: _Rule) -> _Pick:
         # cached, so the accepted candidate keeps the closed forms its rule read
-        at = cache(lambda p: _Pick(rule.family(p), p, scope, kind.element_weighted))
+        at = cache(lambda p: _Pick(rule.family(p), p, scope, kind))
         return at(_smallest(rule.start, lambda p: rule.accept(at(p), eps)))
 
     base = None if plan.base is None else pick(plan.base)
     step = pick(plan.step)
-    constants = _scan_constants(kind, base, step)
+    constants = series(kind, base and base.record, step.record)
     k, value = _scan_sequence(*constants, plan.k_start, query.target, eps)
     hit = (f"k = {k}", "first k with |value - target| < epsilon", value)
     trail = tuple(TrailStep(*line) for line in plan.trail(base, step, k, hit))
@@ -586,7 +568,7 @@ def verify_witness(w: Witness) -> VerificationReport:
         if fct.power < 1:
             raise WitnessInconsistencyError(f"factor power {fct.power} is not >= 1")
         terms.append((_factor_record(fct), fct.power))
-    replay = compose(terms).get(kind)
+    replay = compose(terms, kind)
     if replay != w.value:
         raise WitnessInconsistencyError(
             f"recurrence replay gives {replay}, witness records {w.value}"

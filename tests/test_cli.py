@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import chartab
-from chartab import oracle, stats, witness
+from chartab import cli, oracle, stats, witness
 from chartab.cli import _build_parser, main
 from chartab.tables import CharacterTable, dihedral_table
 
@@ -661,6 +661,36 @@ def test_verify_outputs_match_recorded_digests(capsys):
             digest.update(capsys.readouterr().out.encode())
         got[family, param] = digest.hexdigest()
     assert got == VERIFY_OUTPUT_DIGESTS
+
+
+# sha256 of the stdout of every `cli` job of the benchmark's pools, as the
+# benchmark recorded them; a changed output fails here first
+BENCHMARK_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+def test_benchmark_cli_jobs_match_their_recorded_digests(capsys, monkeypatch):
+    for variable in ("CHARTAB_CLASS_LIMIT", "CHARTAB_ORACLE_LIMIT"):
+        monkeypatch.delenv(variable, raising=False)  # the benchmark sets neither
+    recorded = json.loads(BENCHMARK_DIGESTS.read_text())
+    assert Counter(job.split()[1] for job in recorded) == {
+        "scan": 18, "stats": 48, "table": 18, "verify": 20, "witness": 102,
+    }
+    changed = []
+    for job, digest in recorded.items():
+        kind, *argv = job.split()
+        assert kind == "cli" and main(argv) == 0, job
+        if hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != digest:
+            changed.append(job)
+    assert changed == []
+
+
+def test_memory_error_is_one_line(capsys, monkeypatch):
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_table", exhausted)
+    code, out, err = run(capsys, "stats", "extraspecial2", "7")
+    assert (code, out, err) == (1, "", "chartab: out of memory\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Permutation-group oracle: classification, Dixon tables, relabeling comparison."""
 
 import random
+import sys
 
 import pytest
 from compare_reference import reference_compare_tables
@@ -397,6 +398,31 @@ def test_compare_matches_the_reference():
     assert None in outcomes
     assert "no class correspondence: per-class value profiles differ" in outcomes
     assert "no class correspondence aligns the character values" in outcomes
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_compare_does_not_recurse_per_class():
+    # 67 classes: a limit 40 frames above this test overflows a search that
+    # recurses once per class, as the reference does
+    a = dihedral_table(7)
+    b = _relabeled(a, random.Random(11))
+    want = reference_compare_tables(a, b)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        with pytest.raises(RecursionError):
+            reference_compare_tables(a, b)
+        got = compare_tables(a, b)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert a.num_classes == 67
+    assert got == want and got.matched
 
 
 def test_compare_maps_equal_rows_to_distinct_rows():

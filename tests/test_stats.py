@@ -9,9 +9,12 @@ from chartab.stats import (
     StatKind,
     char_stats,
     closed_form_stats,
+    compose,
     group_stats,
     product_stats,
     render_decimal,
+    scan_rows,
+    series,
     theta_master,
     u_power,
     z_sequence,
@@ -263,10 +266,48 @@ def test_sequence_input_validation():
         z_sequence(0, Fraction(3, 20), 10**4)
     # powers of 1 - z_step = 1 stay 1 bit long: no refusal
     assert z_sequence(Fraction(1, 2), 0, 10**4)[-1] == Fraction(1, 2)
+    # z0 = 1 leaves no power to take: every row is 1, whatever the step
+    assert z_sequence(1, Fraction(3, 20), 10**4) == [1] * (10**4 + 1)
     with pytest.raises(ValueError):
         u_power(Fraction(5, 4), 2)
     with pytest.raises(ValueError):
         u_power(Fraction(1, 2), -1)
+
+
+SCANNED = [
+    *(Dihedral(n) for n in range(2, 6)),
+    *(Extraspecial2(n) for n in range(1, 4)),
+    *(Psl2Even(r) for r in range(1, 5)),
+]
+
+
+def test_series_rows_match_compose():
+    # the producer (`series`, `scan_rows`) against the checker (`compose`),
+    # on every statistic and scope `scan` serves
+    for spec in SCANNED:
+        cf = closed_form_stats(spec)
+        for kind in StatKind:
+            records = [cf.character]
+            if not (isinstance(spec, Psl2Even) and kind.counts_units):
+                records.append(cf.group)  # `scan` refuses these
+            for record in records:
+                want = [compose([(record, k)], kind) for k in range(41)]
+                assert scan_rows(series(kind, None, record), 40) == want, (spec, kind)
+    # a base factor, as the witness plans use it
+    base, step = closed_form_stats(Dihedral(3)).group, closed_form_stats(Extraspecial2(2)).group
+    for kind in StatKind:
+        want = [compose([(base, 1), (step, k)], kind) for k in range(21)]
+        assert scan_rows(series(kind, base, step), 20) == want, kind
+
+
+def test_z_sequence_matches_compose():
+    halves = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), Fraction(1)]
+    for z0 in halves:
+        for step in halves:
+            start = stats.StatRecord(z0, z0, Fraction(0), Fraction(0))
+            factor = stats.StatRecord(step, step, Fraction(0), Fraction(0))
+            want = [compose([(start, 1), (factor, k)], StatKind.Z_ELEM) for k in range(41)]
+            assert z_sequence(z0, step, 40) == want, (z0, step)
 
 
 def test_u_power_on_powers_of_a_2_group():

@@ -458,7 +458,7 @@ def test_scan_matches_the_linear_reference(monkeypatch):
                         kind, scope, target, eps,
                     )
 
-    # random constants in the shape `_scan_constants` guarantees, with zero
+    # random constants in the shape `stats.series` guarantees, with zero
     # coefficients and the ratios 0 and 1 drawn on purpose, and targets near
     # a value of the sequence; a small k guard bounds the walk of sequences
     # that never reach the band
