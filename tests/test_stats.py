@@ -301,9 +301,9 @@ def test_series_rows_match_compose():
 
 
 def test_z_sequence_matches_compose():
-    halves = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), Fraction(1)]
-    for z0 in halves:
-        for step in halves:
+    values = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), Fraction(1)]
+    for z0 in values:
+        for step in values:
             start = stats.StatRecord(z0, z0, Fraction(0), Fraction(0))
             factor = stats.StatRecord(step, step, Fraction(0), Fraction(0))
             want = [compose([(start, 1), (factor, k)], StatKind.Z_ELEM) for k in range(41)]
