@@ -27,12 +27,10 @@ from fractions import Fraction
 from chartab.exactnum import ChartabError
 from chartab.oracle import (
     builtin_perm_group,
-    check_group_limit,
     compare_tables,
     dixon_character_table,
 )
 from chartab.stats import (
-    K_MAX_LIMIT,
     StatKind,
     char_stats,
     closed_form_stats,
@@ -46,7 +44,6 @@ from chartab.tables import (
     CharacterTable,
     Dihedral,
     FamilySpec,
-    InvalidParameterError,
     Psl2Even,
     build_table,
     spec_to_json,
@@ -195,8 +192,6 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if not 0 <= args.kmax <= K_MAX_LIMIT:
-        raise InvalidParameterError(f"--kmax must lie in [0, {K_MAX_LIMIT}], got {args.kmax}")
     kind = StatKind(args.stat)
     scope = Scope(args.scope)
     spec = args.family_params
@@ -206,16 +201,14 @@ def _cmd_scan(args) -> int:
             "under direct products; only zI and zII group scans are available"
         )
     cf = closed_form_stats(spec)
-    if scope is Scope.CHARACTER:
-        if cf.character is None:
-            raise WitnessDomainError(
-                f"{args.stat} character scan needs a distinguished character, "
-                f"and this family has none at this parameter"
-            )
-        record = cf.character
-    else:
-        record = cf.group
-    rows = list(enumerate(scan_rows(series(kind, None, record), args.kmax)))
+    if scope is Scope.GROUP:
+        character = None
+    elif (character := cf.character_name) is None:
+        raise WitnessDomainError(
+            f"{args.stat} character scan needs a distinguished character, "
+            f"and this family has none at this parameter"
+        )
+    rows = list(enumerate(scan_rows(series(kind, None, cf.record(character)), args.kmax)))
 
     if args.format == "json":
         _emit_json(
@@ -237,9 +230,10 @@ def _cmd_scan(args) -> int:
     else:
         fam = spec_to_json(spec)
         lines = [f"{args.stat} at scope {args.scope} for powers of {fam}"]
-        width = max(len(str(v)) for _, v in rows)
-        for k, v in rows:
-            lines.append(f"  k={k:<4} {str(v):>{width}}  {render_decimal(v)}")
+        texts = [str(v) for _, v in rows]
+        width = max(map(len, texts))
+        for (k, v), text in zip(rows, texts):
+            lines.append(f"  k={k:<4} {text:>{width}}  {render_decimal(v)}")
         _emit("\n".join(lines) + "\n")
     return 0
 
@@ -274,12 +268,11 @@ def _agrees(name: str, actual, want) -> tuple[str, bool, str | None]:
 
 def _cmd_verify(args) -> int:
     spec = _family_spec(args.family, args.param)
-    # before anything is built: the realization alone can take gigabytes
-    check_group_limit(spec)
+    group = builtin_perm_group(spec)  # refused past the element limit before any build
     table = build_table(spec)
     report = validate_table(table)
     checks = [("generated table satisfies the table identities", report.ok, report.failure)]
-    comparison = compare_tables(table, dixon_character_table(builtin_perm_group(spec)))
+    comparison = compare_tables(table, dixon_character_table(group))
     checks.append(("oracle table matches the generated table up to relabeling",
                    comparison.matched, comparison.reason))
     cf = closed_form_stats(spec)

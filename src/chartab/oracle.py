@@ -697,8 +697,9 @@ def builtin_perm_group(spec: FamilySpec) -> PermGroup:
     group, needs two 2-point blocks instead); extraspecial groups act on
     themselves by left translation; the linear groups act on the
     projective line; products act on the disjoint union of the factors'
-    points.
+    points.  The element limit is checked first (`check_group_limit`).
     """
+    check_group_limit(spec)
     if isinstance(spec, Product):
         parts = [builtin_perm_group(f) for f in spec.factors]
         if not parts:

@@ -266,6 +266,12 @@ class ClosedFormStats:
     def group(self) -> StatRecord:
         return self.group_record()
 
+    def record(self, character: str | None) -> StatRecord | None:
+        """The group's record for None, the distinguished character's for its name, else None."""
+        if character is None:
+            return self.group
+        return self.character if character == self.character_name else None
+
 
 def _dihedral_group_record(n: int) -> StatRecord:
     u = Fraction(4, 2 ** (n - 1) + 3)
@@ -471,8 +477,11 @@ def scan_rows(constants: Sequence[Fraction], k_max: int) -> list[Fraction]:
     """c0 + c1*r1^k + c2*r2^k for k = 0..k_max (constants from `series`),
     each power one product from the one before.  Row k takes about k * b
     bits, b the numerator and denominator bit lengths of the ratios inside
-    (0, 1); rows past `SCAN_BIT_LIMIT` bits in all are refused up front.
+    (0, 1); rows past `SCAN_BIT_LIMIT` bits in all, or a k_max outside
+    [0, `K_MAX_LIMIT`], are refused up front.
     """
+    if not 0 <= k_max <= K_MAX_LIMIT:
+        raise InvalidParameterError(f"--kmax must lie in [0, {K_MAX_LIMIT}], got {k_max}")
     c0, c1, r1, c2, r2 = constants
     b = sum(r.numerator.bit_length() + r.denominator.bit_length() for r in (r1, r2) if 0 < r < 1)
     bits = b * k_max * (k_max + 1) // 2
@@ -499,8 +508,6 @@ def z_sequence(z0: Rational, z_step: Rational, k_max: int) -> list[Fraction]:
     """
     z = _check_unit_interval(z0, "z0")
     step = _check_unit_interval(z_step, "z_step")
-    if not 0 <= k_max <= K_MAX_LIMIT:
-        raise ValueError(f"k_max must lie in [0, {K_MAX_LIMIT}], got {k_max}")
     start, factor = _record(z, z, 0, 0), _record(step, step, 0, 0)
     return scan_rows(series(StatKind.Z_ELEM, start, factor), k_max)
 

@@ -402,7 +402,7 @@ def dihedral_table(n: int) -> CharacterTable:
     ``n == 1`` is allowed and yields the elementary abelian group of order 4
     (four singleton classes, four linear characters).
     """
-    _check_positive(n, "n")
+    check_table_guard(Dihedral(n))
     order = 2 ** (n + 1)
     rot = 2**n  # order of the rotation subgroup
     half = 2 ** (n - 1)
@@ -466,7 +466,7 @@ def extraspecial2_table(n: int) -> CharacterTable:
     ``v = 0`` of ``S_(2n)`` is the class ``z``, on which every linear
     character is 1.
     """
-    _check_positive(n, "n")
+    check_table_guard(Extraspecial2(n))
     dim = 2 * n
     classes = [ClassInfo("1", 1, 1), ClassInfo("z", 1, 2)]
     for v in range(1, 2**dim):
@@ -507,7 +507,7 @@ def psl2_even_table(r: int) -> CharacterTable:
     split classes; the ``q / 2`` discrete series of degree ``q - 1``
     carrying negated ``zeta_{q+1}`` cosine pairs on the nonsplit classes.
     """
-    _check_positive(r, "r")
+    check_table_guard(Psl2Even(r))
     q = 2**r
     order = q**3 - q
     n_split = (q - 2) // 2

@@ -321,10 +321,14 @@ class _Pick:
     def closed_form(self) -> ClosedFormStats:
         return closed_form_stats(self.spec)
 
+    @cached_property
+    def character(self) -> str | None:
+        """What the factor measures, as `WitnessFactor.character` names it."""
+        return self.closed_form.character_name if self.scope is Scope.CHARACTER else None
+
     @property
     def record(self) -> StatRecord:
-        cf = self.closed_form
-        return cf.character if self.scope is Scope.CHARACTER else cf.group
+        return self.closed_form.record(self.character)
 
     @property
     def z(self) -> Fraction:
@@ -335,8 +339,7 @@ class _Pick:
         return self.record.weighted(self.kind)[1]
 
     def factor(self, power: int) -> WitnessFactor:
-        name = self.closed_form.character_name if self.scope is Scope.CHARACTER else None
-        return WitnessFactor(self.spec, name, power)
+        return WitnessFactor(self.spec, self.character, power)
 
 
 @dataclass(frozen=True)
@@ -520,18 +523,6 @@ class VerificationReport:
     table_skipped: str | None
 
 
-def _factor_record(fct: WitnessFactor) -> StatRecord:
-    cf = closed_form_stats(fct.family)
-    if fct.character is None:
-        return cf.group
-    if cf.character_name != fct.character:
-        raise WitnessInconsistencyError(
-            f"no closed form for character {fct.character!r} of {fct.family!r} "
-            f"(distinguished character is {cf.character_name!r})"
-        )
-    return cf.character
-
-
 @lru_cache(maxsize=FACTOR_MEMO_SIZE)
 def _factor_counts(family: FamilySpec, character: str | None) -> Counts:
     """`count_factor` of a family's table: all rows when character is None,
@@ -543,7 +534,8 @@ def _factor_counts(family: FamilySpec, character: str | None) -> Counts:
 
 
 def verify_witness(w: Witness) -> VerificationReport:
-    """Recompute a witness value two independent ways.
+    """Recompute a witness value two independent ways, both reading what
+    each factor's `character` names (the whole group when None).
 
     (a) Replay the closed forms through the product rule (`compose`): the
     nonzero fraction of the expression is the product of per-factor
@@ -567,7 +559,14 @@ def verify_witness(w: Witness) -> VerificationReport:
     for fct in w.factors:
         if fct.power < 1:
             raise WitnessInconsistencyError(f"factor power {fct.power} is not >= 1")
-        terms.append((_factor_record(fct), fct.power))
+        cf = closed_form_stats(fct.family)
+        record = cf.record(fct.character)
+        if record is None:
+            raise WitnessInconsistencyError(
+                f"no closed form for character {fct.character!r} of {fct.family!r} "
+                f"(distinguished character is {cf.character_name!r})"
+            )
+        terms.append((record, fct.power))
     replay = compose(terms, kind)
     if replay != w.value:
         raise WitnessInconsistencyError(
@@ -593,8 +592,7 @@ def verify_witness(w: Witness) -> VerificationReport:
         counted = []
         for fct in w.factors:
             check_table_guard(fct.family)  # on a remembered factor too
-            character = fct.character if w.query.scope is Scope.CHARACTER else None
-            counted += [_factor_counts(fct.family, character)] * fct.power
+            counted += [_factor_counts(fct.family, fct.character)] * fct.power
         table_value = fold_counts(counted).get(kind)
         if table_value != w.value:
             raise WitnessInconsistencyError(

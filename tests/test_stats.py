@@ -155,12 +155,21 @@ def test_closed_forms_refuse_a_group_order_past_the_bit_guard(monkeypatch, famil
 
 
 def test_psl2_group_record_refuses_past_the_class_guard_on_first_read(monkeypatch):
+    table5 = psl2_even_table(5)  # built before the guard is lowered below its 33 classes
     monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "32")
     assert closed_form_stats(Psl2Even(4)).group == group_stats(psl2_even_table(4))
     cf = closed_form_stats(Psl2Even(5))  # 33 classes: the Steinberg record stays available
-    assert cf.character == char_stats(psl2_even_table(5), 1)
+    assert cf.character == char_stats(table5, 1)
     with pytest.raises(TableTooLargeError, match=r"walks 33 classes, above the guard 32$"):
         cf.group
+
+
+def test_closed_form_record_reads_the_factor_character():
+    cf = closed_form_stats(Psl2Even(2))
+    assert cf.record(None) == cf.group == group_stats(psl2_even_table(2))
+    assert cf.record("steinberg") == cf.character
+    assert cf.record("trivial") is None
+    assert closed_form_stats(Dihedral(1)).record("rot1") is None
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +281,17 @@ def test_sequence_input_validation():
         u_power(Fraction(5, 4), 2)
     with pytest.raises(ValueError):
         u_power(Fraction(1, 2), -1)
+
+
+@pytest.mark.parametrize("k_max", [-1, 10**6 + 1])
+@pytest.mark.parametrize("constants, row0", [((1, -1, 1, 0, 1), 0), ((0, 0, 1, 1, 0), 1)])
+def test_scan_rows_refuses_k_max_outside_its_range(k_max, constants, row0):
+    # ratios 1 and 0 give constant rows, which the bit guard lets through
+    constants = tuple(map(Fraction, constants))
+    with pytest.raises(InvalidParameterError) as exc:
+        scan_rows(constants, k_max)
+    assert str(exc.value) == f"--kmax must lie in [0, 1000000], got {k_max}"
+    assert scan_rows(constants, 0) == [row0]
 
 
 SCANNED = [

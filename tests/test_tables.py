@@ -8,7 +8,7 @@ from validate_reference import reference_validate_table
 import chartab.stats
 import chartab.tables
 from chartab.exactnum import Cyclotomic, canonicalize, classify_value
-from chartab.oracle import builtin_perm_group, dixon_character_table
+from chartab.oracle import GroupTooLargeError, builtin_perm_group, dixon_character_table
 from chartab.stats import char_stats, group_stats
 from chartab.tables import (
     CharacterTable,
@@ -217,6 +217,30 @@ def test_build_table_class_limit_covers_every_spec(spec, monkeypatch):
     assert f"{spec_class_count(spec)} classes" in str(exc.value)
     monkeypatch.setenv("CHARTAB_CLASS_LIMIT", str(spec_class_count(spec)))
     assert build_table(spec).num_classes == spec_class_count(spec)
+
+
+@pytest.mark.parametrize(
+    "generate, family, param",
+    [(dihedral_table, Dihedral, 5), (extraspecial2_table, Extraspecial2, 2),
+     (psl2_even_table, Psl2Even, 4)],
+    ids=["dihedral", "extraspecial2", "psl2even"],
+)
+def test_public_builders_check_their_own_guard(generate, family, param, monkeypatch):
+    spec = family(param)
+    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "10")
+    monkeypatch.setenv("CHARTAB_ORACLE_LIMIT", "10")
+    with pytest.raises(TableTooLargeError, match=rf"^table would have {spec_class_count(spec)} "):
+        generate(param)
+    for group in (spec, Product((Dihedral(1), spec))):
+        with pytest.raises(GroupTooLargeError):
+            builtin_perm_group(group)
+
+
+def test_public_builders_refuse_a_huge_parameter_up_front():
+    with pytest.raises(TableTooLargeError, match=r"would have 549755813891 classes"):
+        dihedral_table(40)
+    with pytest.raises(GroupTooLargeError):
+        builtin_perm_group(Extraspecial2(20))
 
 
 def test_class_guard_names_a_huge_count_by_its_size():

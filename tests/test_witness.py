@@ -326,6 +326,17 @@ def test_verify_rejects_unknown_character():
     assert "steinberg" in str(exc.value)
 
 
+def test_verify_reads_the_factor_character_at_group_scope():
+    # both paths read what the factor names, whatever the query's scope:
+    # rot1 of dihedral(3) has zI = 5/8, so its square has 1 - (3/8)^2
+    w = Witness(
+        WitnessQuery(StatKind.Z_ELEM, Scope.GROUP, Fraction(7, 8), TENTH),
+        (WitnessFactor(Dihedral(3), "rot1", 2),), 2, Fraction(55, 64), (),
+    )
+    report = verify_witness(w)
+    assert report.table_value == report.replay_value == Fraction(55, 64)
+
+
 def test_verify_rejects_degenerate_witnesses():
     w = witness_local(StatKind.Z_ELEM, 0, TENTH)
     with pytest.raises(WitnessInconsistencyError):
