@@ -13,6 +13,11 @@ Arithmetic is exposed through the usual operators (``+``, ``-``, ``*``,
 unary ``-``) plus ``conjugate()``; there is no division.  All coefficients
 are ``fractions.Fraction`` (plain ``int`` is kept where the value is
 integral, which is the common case for character values).
+
+The residues at a split prime p = 1 mod N (``prime_1_mod``,
+``root_of_unity``, ``unit_generators``, ``residues``) map the algebraic
+integers of Q(zeta_N) to F_p by a ring homomorphism; the oracle computes
+in that field, and ``validate_table`` proves row orthogonality there.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 Rational = Fraction
 
@@ -441,3 +446,112 @@ def classify_value(a: Cyclotomic) -> ValueClass:
     if sq.is_rational and sq.as_rational() == 1:
         return ValueClass.ROOT_OF_UNITY
     return ValueClass.OTHER
+
+
+# ---------------------------------------------------------------------------
+# residues at a split prime
+
+# No composite below _MR_EXACT_BELOW is a strong pseudoprime to all of these
+# bases (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality: Miller-Rabin on the first 13 prime bases below
+    3.3·10^24, where it is deterministic, and trial division above."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_EXACT_BELOW:
+        return all(n % d for d in range(43, isqrt(n) + 1, 2))
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_1_mod(n: int, bound: int) -> int:
+    """The least prime p = 1 mod n with p > bound."""
+    p = bound + 1 + (-bound) % n
+    while not is_prime(p):
+        p += n
+    return p
+
+
+def root_of_unity(n: int, p: int) -> int:
+    """A primitive n-th root of unity mod the prime p = 1 mod n.
+
+    It is w^((p-1)/n) for the least w >= 1 whose power has order exactly
+    n.  Any such power x has x^n = 1, so its order is n exactly when
+    x^(n/q) != 1 for every prime q of n: p - 1 is never factorized.
+    """
+    if n < 1 or (p - 1) % n:
+        raise ValueError(f"{p} is not 1 mod {n}")
+    step = (p - 1) // n
+    cofactors = [n // q for q in factorize(n)]
+    for w in range(1, p):
+        x = pow(w, step, p)
+        if all(pow(x, c, p) != 1 for c in cofactors):
+            return x
+    raise ValueError(f"{p} is not prime")
+
+
+def unit_generators(n: int) -> tuple[int, ...]:
+    """Generators of the units mod n, one per cyclic factor.
+
+    (Z/n)^x is the product over the prime powers q^a of n of (Z/q^a)^x.
+    That factor is generated by -1 and 5 for 2^a with a >= 3, by -1 for 4,
+    is trivial for 2, and is cyclic for odd q, generated by a primitive
+    root g mod q with g^(q-1) != 1 mod q^2 (g or g + q is one).  Each local
+    generator is lifted to the unit that is 1 mod the other prime powers.
+    """
+    gens = []
+    for q, a in factorize(n).items():
+        m = q**a
+        if q == 2:
+            local = [m - 1, 5][: max(a - 1, 0)]
+        else:
+            g = root_of_unity(q - 1, q)
+            local = [g + q if pow(g, q - 1, q * q) == 1 else g]
+        rest = n // m
+        for g in local:
+            gens.append((g + m * ((1 - g) * pow(m, -1, rest) % rest)) % n)
+    return tuple(gens)
+
+
+def residues(values, p: int, omega: int, n: int) -> list[int]:
+    """The image in F_p of each algebraic integer of Q(zeta_n) under the
+    ring map zeta_n -> omega, for omega a primitive n-th root of unity
+    mod the prime p.
+
+    A value of conductor m (m divides n) sends zeta_m to omega^(n/m).
+    The map is a ring homomorphism Z[zeta_n] -> F_p, and its kernel is a
+    prime of Z[zeta_n] above p.
+    """
+    powers: dict[int, list[int]] = {}
+    out = []
+    for v in values:
+        _require_integral(v)
+        m = v.conductor
+        pw = powers.get(m)
+        if pw is None:
+            if n % m:
+                raise InvalidConductorError(f"conductor {m} does not divide {n}")
+            step = pow(omega, n // m, p)
+            pw = powers[m] = [1] * m
+            for e in range(1, m):
+                pw[e] = pw[e - 1] * step % p
+        out.append(sum(c * pw[e] for e, c in v.coeffs) % p)
+    return out

@@ -40,10 +40,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import itemgetter
 
-from chartab.exactnum import ChartabError, canonicalize, factorize
+from chartab.exactnum import (
+    ChartabError,
+    canonicalize,
+    factorize,
+    prime_1_mod,
+    root_of_unity,
+)
 from chartab.tables import (
     CharacterTable,
     ClassInfo,
@@ -424,19 +430,12 @@ def _common_eigenvectors(mats, p: int):
 
 
 def _candidate_primes(exponent: int, group_order: int, count: int):
-    found = 0
-    p = 1
-    while found < count:
-        p += exponent
-        if p * p > 4 * group_order and factorize(p) == {p: 1}:
-            found += 1
-            yield p
-
-
-def _primitive_root(p: int) -> int:
-    """The least generator of the units mod the prime p (1 for p = 2)."""
-    factors = factorize(p - 1)
-    return next(w for w in range(1, p) if all(pow(w, (p - 1) // f, p) != 1 for f in factors))
+    """The first ``count`` primes p = 1 mod exponent with p^2 > 4|G|, in
+    increasing order; p^2 > 4|G| exactly when p > isqrt(4|G|)."""
+    p = isqrt(4 * group_order)
+    for _ in range(count):
+        p = prime_1_mod(exponent, p)
+        yield p
 
 
 def _structure_constants(data: ClassData) -> list[list[tuple[int, int, int]]]:
@@ -507,8 +506,10 @@ def _try_prime(
     size_inverse = [pow(s, p - 2, p) for s in data.sizes]
     order_residue = data.group_order % p
 
-    root = _primitive_root(p)
-    zeta_inv = pow(pow(root, (p - 1) // exponent, p), p - 2, p)
+    # any primitive root of unity serves: another one conjugates every
+    # lifted row by one Galois automorphism, which permutes the rows, and
+    # the rows are sorted below
+    zeta_inv = pow(root_of_unity(exponent, p), -1, p)
     # per subgroup order o: the powers of zeta_o^-1 and the inverse of o
     lift_constants = {}
     for seq, _ in cyclic:

@@ -28,7 +28,14 @@ name, generator, class count, group order); the spec functions and
 ``validate_table`` checks the defining exact relations (class equation,
 degree equation, row orthogonality, which implies column orthogonality)
 and reports the first violation, which makes it usable as an oracle
-against independently computed tables.
+against independently computed tables.  Row orthogonality of a table
+whose rows are Galois-stable is proved modulo one split prime, exactly
+(`_row_orthogonality_proved` holds the proof); every other table, and
+every failure, goes through the exact pair loop.
+
+The class guard reads floor(log2) of a count off the parameters: a
+single family's from its `FAMILIES` record, a product's as the sum of
+its factors', so no count is built to be refused.
 """
 
 from __future__ import annotations
@@ -40,8 +47,17 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import gcd, lcm, prod
+from operator import mul
 
-from chartab.exactnum import ChartabError, Cyclotomic, canonicalize
+from chartab.exactnum import (
+    ChartabError,
+    Cyclotomic,
+    canonicalize,
+    prime_1_mod,
+    residues,
+    root_of_unity,
+    unit_generators,
+)
 
 DEFAULT_CLASS_LIMIT = 10**6
 
@@ -305,27 +321,33 @@ def spec_group_order(spec: FamilySpec) -> int:
     return family.group_order(value)
 
 
-def log2_past_limit(spec: FamilySpec, limit: int, order: bool = False) -> int | None:
-    """b = floor(log2) of a single family's class count, or of its group
-    order, when 2^b alone is past ``limit``; otherwise None.
-
-    b is read off the parameter by the family's `FAMILIES` record, so a
-    count of billions of bits is never built to be refused.  A product is
-    always None: its count is built exactly.
-    """
+def _log2_floor(spec: FamilySpec, order: bool) -> int:
     if isinstance(spec, Product):
-        return None
+        return sum(_log2_floor(f, order) for f in spec.factors)
     family, value = single_family(spec)
-    b = (family.group_order_log2 if order else family.class_count_log2)(value)
+    return (family.group_order_log2 if order else family.class_count_log2)(value)
+
+
+def log2_past_limit(spec: FamilySpec, limit: int, order: bool = False) -> int | None:
+    """b, with 2^b at most the class count of ``spec`` (or its group
+    order), when 2^b alone is past ``limit``; otherwise None.
+
+    b is read off the parameters by the `FAMILIES` records, so a count of
+    billions of bits is never built to be refused.  For a single family b
+    is floor(log2) of the count; for a product it is the sum of its
+    factors' b, since floor(log2(xy)) >= floor(log2 x) + floor(log2 y).
+    """
+    b = _log2_floor(spec, order)
     return b if b >= limit.bit_length() else None
 
 
 def check_table_guard(spec: FamilySpec) -> None:
     """The class guard `build_table` applies before anything is built.
 
-    A single family whose parameter alone puts the count past both the
-    limit and 10^18 is refused as ``at least 2^b``, the words
-    `describe_count` would print for the count itself.
+    A spec whose parameters alone put the count past both the limit and
+    10^18 is refused as ``at least 2^b``: for a single family (or a
+    one-factor product) the words `describe_count` would print for the
+    count itself, for a product the sum of its factors' floor(log2).
     """
     limit = env_limit("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT)
     b = log2_past_limit(spec, max(limit, _DECIMAL_BELOW))
@@ -677,11 +699,16 @@ def validate_table(t: CharacterTable) -> ValidationReport:
 
     Column orthogonality needs no pass: with X the square value matrix and
     D the diagonal of class sizes, X·D·X* = |G|·I means D·X*/|G| is the
-    inverse of X, so X*·X = |G|·D⁻¹.  Per pair of rows, each palette pair
-    (x, y) is weighted by the sizes of the classes where it occurs, each
-    ``palette[x] * conj(palette[y])`` is multiplied once per table in its
-    own conductor, and the weighted coefficients are summed and
-    canonicalized once per conductor.
+    inverse of X, so X*·X = |G|·D⁻¹.
+
+    Row orthogonality is first proved modulo one prime
+    (`_row_orthogonality_proved`); a table it cannot prove valid takes
+    the exact pass, which finds and reports the first failing pair.  Per
+    pair of rows that pass weights each palette pair (x, y) by the sizes
+    of the classes where it occurs, multiplies each
+    ``palette[x] * conj(palette[y])`` once per table in its own conductor,
+    and sums and canonicalizes the weighted coefficients once per
+    conductor.
     """
 
     def fail(msg: str) -> ValidationReport:
@@ -726,6 +753,9 @@ def validate_table(t: CharacterTable) -> ValidationReport:
             if not integral[i]:
                 return fail(f"entry ({name}, {c.name}) is not an algebraic integer")
 
+    if _row_orthogonality_proved(t):
+        return ValidationReport(True)
+
     conj = [v.conjugate() for v in palette]
     products: dict[tuple[int, int], Cyclotomic] = {}
     sizes = [c.size for c in t.classes]
@@ -750,3 +780,74 @@ def validate_table(t: CharacterTable) -> ValidationReport:
                 )
 
     return ValidationReport(True)
+
+
+def _row_orthogonality_proved(t: CharacterTable) -> bool:
+    """True when row orthogonality of ``t`` is proved by residues mod a
+    split prime; False leaves the decision to the exact pass.
+
+    It assumes what `validate_table` checks before it: the table is
+    square, its class sizes are positive and sum to |G|, and every entry
+    is an algebraic integer.  Let N be the lcm of the palette's conductors
+    and, for rows i and j,
+
+        a_ij = sum over classes k of s_k * x_ik * conj(x_jk) - |G| * [i = j],
+
+    an algebraic integer of Q(zeta_N).  Three checks:
+
+    1. Galois stability.  The rows are distinct, and for each generator g
+       of (Z/N)^x, sigma_g (zeta_N -> zeta_N^g) maps the palette into
+       itself and each row to a row.  sigma_g is injective, so it permutes
+       the rows; the generators generate the Galois group, so every sigma
+       permutes the rows by some bijection pi.  It commutes with complex
+       conjugation (the group is abelian), so sigma(a_ij) = a_pi(i),pi(j).
+    2. A bound.  With M the largest sum of |coefficients| over the
+       palette, every embedding sends a palette value to at most M in
+       absolute value, so every conjugate of a_ij is at most
+       B = |G| * (M^2 + 1).  Take the least prime p = 1 mod N above B.
+    3. Residues.  zeta_N -> omega, a primitive N-th root of unity mod p,
+       is a ring map Z[zeta_N] -> F_p whose kernel P is a prime above p.
+       Every a_ij, over all ordered pairs, maps to 0.
+
+    Then a_ij lies in sigma^-1(P) for every sigma, by 1 and 3.  As p = 1
+    mod N, p splits completely and these are all the primes above p, each
+    once, so a_ij lies in their product p * Z[zeta_N].  A nonzero a_ij
+    would then have a norm divisible by p^phi(N), so some conjugate at
+    least p > B, against 2.  Hence every a_ij = 0.
+
+    The residue sums are integer dot products: the conjugate residues of
+    column k are packed over the rows j into one integer, a field wide
+    enough for a sum of r products below p^2, so row i times the packed
+    columns yields the sums of row i with every row at once.
+    """
+    palette, rows = t.palette, t.rows
+    distinct = set(rows)
+    if len(distinct) < len(rows):
+        return False  # two equal rows are never orthogonal
+    n = lcm(*(v.conductor for v in palette))
+    index = {v.key(): i for i, v in enumerate(palette)}
+    for g in unit_generators(n):
+        image = [
+            i if v.is_rational else index.get(v.galois(g % v.conductor).key())
+            for i, v in enumerate(palette)
+        ]
+        if None in image or any(tuple(map(image.__getitem__, row)) not in distinct for row in rows):
+            return False
+
+    m = max(sum(abs(c) for _, c in v.coeffs) for v in palette)
+    p = prime_1_mod(n, t.group_order * (m * m + 1))
+    omega = root_of_unity(n, p)
+    value = residues(palette, p, omega, n)
+    r = len(rows)
+    width = (r * (p - 1) ** 2).bit_length() + 7 >> 3  # bytes per field
+    conj = [x.to_bytes(width, "little") for x in residues(palette, p, pow(omega, -1, p), n)]
+    columns = [int.from_bytes(b"".join(map(conj.__getitem__, col)), "little") for col in zip(*rows)]
+    sizes = [c.size for c in t.classes]
+    for i, row in enumerate(rows):
+        weighted = [s * value[x] % p for s, x in zip(sizes, row)]
+        sums = sum(map(mul, weighted, columns)).to_bytes(r * width, "little")
+        fields = [int.from_bytes(sums[j : j + width], "little") for j in range(0, r * width, width)]
+        fields[i] -= t.group_order
+        if any(f % p for f in fields):
+            return False
+    return True

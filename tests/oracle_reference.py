@@ -8,12 +8,16 @@ plainly correct; the differential tests in `test_oracle.py` require the
 fast oracle to return the very same tables (palette keys and index rows).
 
 Only the helpers that the fast oracle did not change (enumeration, row
-reduction, prime choice) are imported from `chartab.oracle`.
+reduction, prime choice) are imported from `chartab.oracle`.  The root of
+unity is still taken from the least primitive root mod p, as it was:
+the fast oracle takes another primitive root of unity, which conjugates
+each lifted row by one Galois automorphism and so yields the same set of
+rows, hence the same sorted table.
 """
 
 from __future__ import annotations
 
-from chartab.exactnum import canonicalize
+from chartab.exactnum import canonicalize, factorize
 from chartab.oracle import (
     ClassData,
     PermGroup,
@@ -21,11 +25,16 @@ from chartab.oracle import (
     _invert,
     _kernel,
     _mul,
-    _primitive_root,
     _rref,
     enumerate_and_classify,
 )
 from chartab.tables import CharacterTable, ClassInfo, validate_table
+
+
+def _primitive_root(p: int) -> int:
+    """The least generator of the units mod the prime p (1 for p = 2)."""
+    factors = factorize(p - 1)
+    return next(w for w in range(1, p) if all(pow(w, (p - 1) // f, p) != 1 for f in factors))
 
 
 def reference_split_subspace(basis, pivots, mat, p):

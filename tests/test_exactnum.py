@@ -3,6 +3,7 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -15,8 +16,13 @@ from chartab.exactnum import (
     canonicalize,
     classify_value,
     cyclotomic_coeffs,
+    is_prime,
     m_invariant,
+    prime_1_mod,
+    residues,
+    root_of_unity,
     totient,
+    unit_generators,
 )
 
 zeta = Cyclotomic.zeta
@@ -238,3 +244,75 @@ def test_str_is_readable():
     assert str(rat(Fraction(3, 2))) == "3/2"
     s = str(zeta(8) - 2 * zeta(8, 3))
     assert "z8" in s and "z8^3" in s
+
+
+# ---------------------------------------------------------------------------
+# residues at a split prime
+
+# 63 * 65 and 127 * 129 are the PSL(2, 64) and PSL(2, 128) table conductors,
+# 4096 the largest dihedral one in use, 30030 and 65535 have five and four
+# odd primes
+LARGE_N = (4096, 63 * 65, 127 * 129, 30030, 65535)
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(-3, 20000) if is_prime(n)] == list(sympy.primerange(20000))
+    rng = random.Random(17)
+    for bits in (40, 64, 81):
+        for _ in range(300):
+            n = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+            assert is_prime(n) == sympy.isprime(n), n
+    # strong pseudoprimes to every prime base up to 7, 23 and 37: only
+    # the later bases unmask them
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    # past the Miller-Rabin range the test is trial division
+    assert not is_prime(43 * 10**24 + 43 * 7)
+
+
+@pytest.mark.parametrize("n", [*range(1, 301), *LARGE_N])
+def test_split_prime_root_and_unit_generators(n):
+    bound = 1000 * n
+    p = prime_1_mod(n, bound)
+    assert sympy.isprime(p) and p % n == 1 % n and p > bound
+    assert not any(sympy.isprime(q) for q in range(bound + 1, p) if q % n == 1 % n)
+    omega = root_of_unity(n, p)
+    assert sympy.n_order(omega, p) == n
+    gens = unit_generators(n)
+    assert all(gcd(g, n) == 1 for g in gens)
+    reached = frontier = {1 % n}
+    while frontier:
+        frontier = {x * g % n for x in frontier for g in gens} - reached
+        reached |= frontier
+    assert len(reached) == totient(n)
+
+
+def _random_integer(rng: random.Random, n: int) -> Cyclotomic:
+    m = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+    return canonicalize(m, {rng.randrange(m): rng.randint(-9, 9) for _ in range(rng.randint(0, 6))})
+
+
+# products in conductors 30030 and 65535 first build tens of thousands of
+# reduction rows, which takes seconds; the ring map is checked below them
+@pytest.mark.parametrize("n", [*range(1, 301), *LARGE_N[:3]])
+def test_residues_are_a_ring_map(n):
+    p = prime_1_mod(n, 10**6)
+    omega = root_of_unity(n, p)
+    omega_bar = pow(omega, -1, p)
+    rng = random.Random(n)
+    assert residues([one, zeta(n), zero], p, omega, n) == [1, omega % p, 0]
+    for _ in range(6):
+        a, b = _random_integer(rng, n), _random_integer(rng, n)
+        ra, rb, rsum, rprod = residues([a, b, a + b, a * b], p, omega, n)
+        assert rsum == (ra + rb) % p
+        assert rprod == ra * rb % p
+        # complex conjugation is the map at omega^-1
+        assert residues([a.conjugate()], p, omega, n) == residues([a], p, omega_bar, n)
+
+
+def test_residues_refuse_a_foreign_conductor_and_a_fraction():
+    p = prime_1_mod(4, 100)
+    with pytest.raises(InvalidConductorError):
+        residues([zeta(3)], p, root_of_unity(4, p), 4)
+    with pytest.raises(NotAlgebraicIntegerError):
+        residues([rat(Fraction(1, 2))], p, root_of_unity(4, p), 4)

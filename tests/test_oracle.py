@@ -7,9 +7,11 @@ import pytest
 from compare_reference import reference_compare_tables
 from oracle_reference import reference_character_table, reference_eigenvalues
 
+from chartab.exactnum import factorize
 from chartab.oracle import (
     GroupTooLargeError,
     PermGroup,
+    _candidate_primes,
     _cyclic_subgroup_classes,
     _eigenvalues,
     _mul,
@@ -215,6 +217,29 @@ def test_dixon_matches_the_dense_reference(group):
     assert [v.key() for v in fast.palette] == [v.key() for v in slow.palette]
     assert fast.rows == slow.rows
     assert fast == slow
+
+
+def _trial_division_primes(exponent: int, group_order: int, count: int):
+    """The prime choice as it stood before the split-prime helpers."""
+    found = 0
+    p = 1
+    while found < count:
+        p += exponent
+        if p * p > 4 * group_order and factorize(p) == {p: 1}:
+            found += 1
+            yield p
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*(Dihedral(n) for n in range(2, 7)), *(Extraspecial2(n) for n in range(1, 4)),
+     *(Psl2Even(r) for r in range(2, 4)), Product((Dihedral(2), Psl2Even(2)))],
+    ids=repr,
+)
+def test_candidate_primes_match_trial_division(spec):
+    data = enumerate_and_classify(builtin_perm_group(spec))
+    args = (data.exponent, data.group_order, 25)
+    assert list(_candidate_primes(*args)) == list(_trial_division_primes(*args))
 
 
 def test_eigenvalues_match_a_lambda_scan():

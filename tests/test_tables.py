@@ -1,6 +1,9 @@
 """Character-table builders: frozen small tables, counting lemmas, validation."""
 
 import random
+import time
+import tracemalloc
+from collections import Counter
 
 import pytest
 from validate_reference import reference_validate_table
@@ -33,6 +36,7 @@ from chartab.tables import (
     trivial_table,
     validate_table,
 )
+from chartab.tables import _row_orthogonality_proved
 
 
 def entry(t: CharacterTable, char: str, cls: str) -> Cyclotomic:
@@ -243,6 +247,28 @@ def test_public_builders_refuse_a_huge_parameter_up_front():
         builtin_perm_group(Extraspecial2(20))
 
 
+def test_product_guards_read_the_factors_off_their_parameters():
+    # a count of 2^(10^9 - 1) would take 125 MB to build; the sum of the
+    # factors' floor(log2) refuses first, and a lone factor keeps its line
+    lines = []
+    tracemalloc.start()
+    try:
+        for spec in (Dihedral(10**9), Product((Dihedral(10**9),)),
+                     Product((Dihedral(10**9), Product((Psl2Even(10**9),))))):
+            with pytest.raises(TableTooLargeError) as exc:
+                build_table(spec)
+            lines.append(str(exc.value))
+            with pytest.raises(GroupTooLargeError):
+                builtin_perm_group(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert lines[0] == lines[1]
+    assert lines[1].startswith("table would have at least 2^999999999 classes")
+    assert lines[2].startswith("table would have at least 2^1999999999 classes")
+
+
 def test_class_guard_names_a_huge_count_by_its_size():
     # 2^19999 + 3 classes: its 6021 decimal digits are past Python's
     # int-to-string limit, so the guard must not print them
@@ -290,7 +316,11 @@ def test_log2_past_limit_reads_the_floor_log2_of_each_count_off_the_parameter():
                 # 2^b is past every limit below it, and past none from 2^b on
                 assert log2_past_limit(spec, (1 << b) - 1, order) == b
                 assert log2_past_limit(spec, 1 << b, order) is None
-    assert log2_past_limit(Product((Dihedral(40),)), 1) is None
+    # a product sums its factors' floor(log2): a lower bound, exact for one factor
+    assert log2_past_limit(Product((Dihedral(40),)), 1) == 39
+    assert log2_past_limit(Product((Dihedral(40), Psl2Even(3))), 1) == 42
+    assert log2_past_limit(Product((Dihedral(40), Product((Psl2Even(3),)))), 1 << 42) is None
+    assert log2_past_limit(Product(()), 1) is None
     with pytest.raises(InvalidParameterError, match=r"^n must be a positive integer, got 0"):
         log2_past_limit(Dihedral(0), 1)
 
@@ -480,7 +510,8 @@ def _perturb(t: CharacterTable, rng: random.Random) -> CharacterTable:
     return _with_cells(t, {(i, j): rows[i][j] + Cyclotomic.zeta(7) - Cyclotomic.zeta(7, -1)})
 
 
-def test_validate_matches_the_reference():
+def _reference_cases() -> tuple[list[CharacterTable], list[CharacterTable]]:
+    """Valid base tables, and 600 seeded perturbations of them."""
     bases = [build_table(Dihedral(n)) for n in range(1, 5)]
     bases += [build_table(Extraspecial2(n)) for n in (1, 2)]
     bases += [build_table(Psl2Even(r)) for r in range(1, 5)]
@@ -495,7 +526,12 @@ def test_validate_matches_the_reference():
     ]
     rng = random.Random(20240601)
     seeds = [t for t in bases if t.num_classes > 1]
-    tables = bases + [_perturb(rng.choice(seeds), rng) for _ in range(600)]
+    return bases, [_perturb(rng.choice(seeds), rng) for _ in range(600)]
+
+
+def test_validate_matches_the_reference():
+    bases, perturbations = _reference_cases()
+    tables = bases + perturbations
     failures = []
     for t in tables:
         report = validate_table(t)
@@ -506,6 +542,63 @@ def test_validate_matches_the_reference():
     assert any(f.startswith("row orthogonality") and "z" in f.split("got")[1] for f in failures)
     assert any(f.startswith("row orthogonality") and "z" not in f.split("got")[1] for f in failures)
     assert any(f.startswith("identity value") for f in failures)
+
+
+# The tables of the benchmark's `verify` jobs.
+CERTIFY_POOL = (
+    *(Dihedral(n) for n in range(2, 7)),
+    *(Extraspecial2(n) for n in range(1, 4)),
+    *(Psl2Even(r) for r in range(2, 4)),
+)
+
+
+def test_orthogonality_proof_accepts_generated_and_oracle_tables():
+    specs = [*(Dihedral(n) for n in range(1, 9)), *(Extraspecial2(n) for n in range(1, 5)),
+             *(Psl2Even(r) for r in range(1, 8))]
+    tables = [build_table(spec) for spec in specs]
+    tables += [dixon_character_table(builtin_perm_group(spec)) for spec in CERTIFY_POOL]
+    for t in tables:
+        assert _row_orthogonality_proved(t), t.group_name
+
+
+def test_orthogonality_proof_accepts_only_what_the_reference_accepts():
+    reached = Counter()
+    bases, perturbations = _reference_cases()
+    for t in bases + perturbations:
+        report = reference_validate_table(t)
+        if report.ok or report.failure.startswith("row orthogonality"):
+            # the earlier checks passed, so the proof path runs
+            assert _row_orthogonality_proved(t) == report.ok, t.group_name
+            reached[report.ok] += 1
+    assert reached == {True: 206, False: 326}
+
+
+def _scale_column(t: CharacterTable, k: int, unit: Cyclotomic) -> CharacterTable:
+    return perturbed(t, characters=tuple(row[:k] + (row[k] * unit,) + row[k + 1 :] for row in t.characters))
+
+
+def test_rows_that_are_not_galois_stable_take_the_exact_path():
+    t = dihedral_table(3)
+    # a column times a root of unity keeps both orthogonalities, but the
+    # trivial row now holds zeta_8 on class t^1, and no row holds zeta_8^3 there
+    scaled = _scale_column(t, t.class_index("t^1"), Cyclotomic.zeta(8))
+    # rot1 in place of rot3, its Galois image: rows repeat, not orthogonal
+    rows = list(t.characters)
+    rows[t.character_index("rot3")] = rows[t.character_index("rot1")]
+    repeated = perturbed(t, characters=tuple(rows))
+    for table, ok in ((scaled, True), (repeated, False)):
+        assert not _row_orthogonality_proved(table)
+        report = validate_table(table)
+        assert report.ok is ok
+        assert report == reference_validate_table(table)
+
+
+@pytest.mark.parametrize("spec, seconds", [(Dihedral(9), 4), (Psl2Even(7), 0.3)], ids=repr)
+def test_validate_runs_in_seconds(spec, seconds):
+    t = build_table(spec)
+    start = time.perf_counter()
+    assert validate_table(t).ok
+    assert time.perf_counter() - start < seconds
 
 
 # ---------------------------------------------------------------------------
