@@ -156,34 +156,35 @@ def _cmd_stats(args) -> int:
 # witness
 
 
-def _render_witness_pretty(w) -> str:
-    q = w.query
+def _render_witness_pretty(doc: dict) -> str:
+    """The JSON document of a witness as text, each value printed as there."""
+    q = doc["query"]
     lines = [
-        f"witness for {q.kind.value} at scope {q.scope.value}: "
-        f"target {q.target}, epsilon {q.epsilon}",
+        f"witness for {q['kind']} at scope {q['scope']}: "
+        f"target {q['target']}, epsilon {q['epsilon']}",
         "expression:",
     ]
-    for f in w.factors:
-        fam = spec_to_json(f.family)
+    for f in doc["expression"]["factors"]:
+        fam = f["family"]
         params = ", ".join(f"{k}={v}" for k, v in fam.items() if k != "kind")
         who = f"{fam['kind']}({params})"
-        if f.character is not None:
-            who += f" character {f.character}"
-        lines.append(f"  {who} ^ {f.power}")
-    lines.append(f"k = {w.k}")
-    lines.append(f"value = {w.value} ({render_decimal(w.value)})")
+        if f["character"] is not None:
+            who += f" character {f['character']}"
+        lines.append(f"  {who} ^ {f['power']}")
+    lines.append(f"k = {doc['k']}")
+    lines.append(f"value = {doc['value']} ({doc['decimal']})")
     lines.append("trail:")
-    for step in w.trail:
-        lines.append(f"  {step.choice}: {step.rule} [{step.value}]")
+    for step in doc["trail"]:
+        lines.append(f"  {step['choice']}: {step['rule']} [{step['value']}]")
     return "\n".join(lines) + "\n"
 
 
 def _cmd_witness(args) -> int:
-    w = find_witness(StatKind(args.stat), Scope(args.scope), args.target, args.eps)
+    doc = find_witness(StatKind(args.stat), Scope(args.scope), args.target, args.eps).to_json()
     if args.format == "json":
-        _emit_json(w.to_json())
+        _emit_json(doc)
     else:
-        _emit(_render_witness_pretty(w))
+        _emit(_render_witness_pretty(doc))
     return 0
 
 

@@ -7,24 +7,29 @@ and diagonalize the class-algebra multiplication matrices over a prime
 field, lifting eigenvalue data back to exact cyclotomic values.  The two
 routes meeting entry-for-entry is the correctness argument for both.
 
-The modular step follows the classical plan: pick a prime p congruent to
-1 mod the group exponent with p^2 > 4|G|, so F_p contains the needed
-roots of unity and every character degree is determined by its residue.
-Common eigenvectors of the class matrices give the central character
-values, degrees come from the orthogonality relation, and the cyclotomic
-lift recovers each value as a multiplicity vector over e-th roots of
-unity (each multiplicity is a non-negative integer below p, so residues
-determine them exactly).  A prime that fails any internal consistency
-check is abandoned for the next candidate.
+The modular step runs at one prime, which always serves (Dixon, Numer.
+Math. 10, 1967): the least p = 1 mod the exponent e with p^2 > 4|G|.  The
+primes of |G| divide e, so p does not divide |G|, and F_p holds the e-th
+roots of unity, so the central idempotents of the group algebra, whose
+coefficients lie in Z[1/|G|, zeta_e], reduce to r orthogonal ones: the
+centre of F_p G is F_p^r.  So every class matrix is diagonalizable on
+each common eigenspace, and the split ends one-dimensional; each norm
+|G|/chi(1)^2 is a unit; chi(1)^2 <= |G| < p^2/4 puts chi(1) below p/2,
+where its square determines it; and each multiplicity of the lift is an
+integer in [0, chi(1)], below p, so its residue does too.  A failed check
+is a bug, never an unlucky prime: it raises `OracleInconsistencyError`,
+as does a table that `validate_table` rejects.
 
-Costs: enumeration and the structure constants take |G| times the class
-count r in permutation products, hence the hard element limit; classes
-are sorted as orbits, never element by element.  Each class matrix is
-kept as its nonzero entries only (about r of its r^2 entries on the
-2-groups).  An eigenspace split of a d-dimensional subspace reads the
-eigenvalues off the characteristic polynomial of the d x d restriction
-(O(d^3), then O(p d) to find the roots in F_p) and runs one kernel per
-eigenvalue; the class matrices commute, so no split re-checks invariance.
+Costs: enumeration takes |G| times the number of generators in
+permutation products, hence the hard element limit; classes are sorted
+as orbits, never element by element.  Class matrix i takes |K_i| r
+products, is kept as its nonzero entries (about r of its r^2 on the
+2-groups), and is built only when the split first reaches class i; the
+split stops once every space is one-dimensional.  An eigenspace split of
+a d-dimensional subspace reads the eigenvalues off the characteristic
+polynomial of the d x d restriction (O(d^3), then O(p d) to find the
+roots in F_p) and runs one kernel per eigenvalue; the class matrices
+commute, so no split re-checks invariance.
 The lift runs once per conjugacy class of cyclic subgroups, as a
 transform of length o = the order of its generator, O(o^2) per character;
 the classes of the powers g^t it reads are found by multiplying the
@@ -69,6 +74,10 @@ DEFAULT_GROUP_LIMIT = 2 * 10**5
 GROUP_LIMIT_ENV = "CHARTAB_ORACLE_LIMIT"
 
 Perm = tuple[int, ...]
+
+
+class OracleInconsistencyError(ChartabError):
+    """A failed check of the modular algorithm: a bug, as none can fail at Dixon's prime."""
 
 
 class GroupTooLargeError(ChartabError):
@@ -160,14 +169,15 @@ def _perm_order(p: Perm) -> int:
 
 @dataclass(frozen=True)
 class ClassData:
-    """Conjugacy classes in canonical order; class_of sends each element
-    to its class, so the class of a power of a representative is one lookup."""
+    """Conjugacy classes in canonical order, with their members; class_of sends each
+    element to its class, so the class of a power of a representative is one lookup."""
 
     group_order: int
     representatives: tuple[Perm, ...]
     sizes: tuple[int, ...]
     element_orders: tuple[int, ...]
     class_of: dict[Perm, int]
+    members: tuple[set[Perm], ...]
 
     @property
     def num_classes(self) -> int:
@@ -240,7 +250,7 @@ def enumerate_and_classify(group: PermGroup) -> ClassData:
     keyed.sort(key=itemgetter(0))
     class_of = {x: idx for idx, (_, orbit) in enumerate(keyed) for x in orbit}
     sizes, orders, reps = zip(*(key for key, _ in keyed))
-    return ClassData(group_order, reps, sizes, orders, class_of)
+    return ClassData(group_order, reps, sizes, orders, class_of, tuple(o for _, o in keyed))
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +376,7 @@ def _split_subspace(basis, pivots, mat, p):
     vector costs one pass over them, and its pivot coordinates are a
     column of the d x d restriction.  The eigenvalues of the restriction
     are the roots of its characteristic polynomial, and each eigenvalue,
-    ascending, costs one kernel.  Returns a list of (basis, pivots) pieces, or None when mat
-    does not act diagonalizably on the subspace (the caller then retries
-    with another prime).
+    ascending, costs one kernel.  Returns a list of (basis, pivots) pieces.
 
     The subspace is never checked for invariance, as it always is: matrix
     i has entry a_ij^k in row j, column k, where K_i K_j = sum_k a_ij^k K_k,
@@ -398,59 +406,48 @@ def _split_subspace(basis, pivots, mat, p):
         pieces.append(_rref([_combine(c, basis, p) for c in ker], p))
         found += len(ker)
     if found != d:
-        return None
+        raise OracleInconsistencyError(f"a class matrix is not diagonalizable mod {p}")
     return pieces
 
 
-def _common_eigenvectors(mats, p: int):
-    """One-dimensional common invariant subspaces of all mats, or None."""
-    r = len(mats)  # one class matrix per class
+def _class_matrix(data: ClassData, i: int) -> list[tuple[int, int, int]]:
+    """Class matrix i as its nonzero (row j, col k, count) entries: count is
+    the number of pairs (x, y) with x in class i, y in class j, and x*y the
+    representative of class k.  The count is independent of which member
+    of class k is fixed."""
+    reps, class_of = data.representatives, data.class_of
+    entries = Counter()
+    for x in data.members[i]:
+        xi = _invert(x)
+        for k, z in enumerate(reps):
+            entries[class_of[_mul(xi, z)], k] += 1
+    return [(j, k, c) for (j, k), c in entries.items()]
+
+
+def _common_eigenvectors(data: ClassData, p: int) -> list[list[int]]:
+    """The one-dimensional common eigenspaces of the class matrices, each
+    matrix built when the split first reaches its class."""
+    r = data.num_classes
     full = [[1 if j == i else 0 for j in range(r)] for i in range(r)]
     subspaces = [(full, list(range(r)))]
-    for mat in mats[1:]:  # mats[0] is the identity class, always scalar
+    for i in range(1, r):  # class 0 is the identity, its matrix scalar
         if all(len(basis) == 1 for basis, _ in subspaces):
             break
+        mat = _class_matrix(data, i)
         refined = []
         for basis, pivots in subspaces:
             if len(basis) == 1:
                 refined.append((basis, pivots))
-                continue
-            pieces = _split_subspace(basis, pivots, mat, p)
-            if pieces is None:
-                return None
-            refined.extend(pieces)
+            else:
+                refined.extend(_split_subspace(basis, pivots, mat, p))
         subspaces = refined
     if any(len(basis) != 1 for basis, _ in subspaces):
-        return None
+        raise OracleInconsistencyError(f"the class matrices leave a common eigenspace mod {p}")
     return [basis[0] for basis, _ in subspaces]
 
 
 # ---------------------------------------------------------------------------
 # the modular character table algorithm
-
-
-def _candidate_primes(exponent: int, group_order: int, count: int):
-    """The first ``count`` primes p = 1 mod exponent with p^2 > 4|G|, in
-    increasing order; p^2 > 4|G| exactly when p > isqrt(4|G|)."""
-    p = isqrt(4 * group_order)
-    for _ in range(count):
-        p = prime_1_mod(exponent, p)
-        yield p
-
-
-def _structure_constants(data: ClassData) -> list[list[tuple[int, int, int]]]:
-    """Class matrix i as its nonzero (row j, col k, count) entries: count is
-    the number of pairs (x, y) with x in class i, y in class j, and x*y the
-    representative of class k.  The count is independent of which member
-    of class k is fixed."""
-    reps = data.representatives
-    counts = [Counter() for _ in reps]
-    for x, i in data.class_of.items():
-        xi = _invert(x)
-        entries = counts[i]
-        for k, z in enumerate(reps):
-            entries[data.class_of[_mul(xi, z)], k] += 1
-    return [[(j, k, c) for (j, k), c in entries.items()] for entries in counts]
 
 
 def _cyclic_subgroup_classes(data: ClassData):
@@ -482,10 +479,8 @@ def _cyclic_subgroup_classes(data: ClassData):
     return out
 
 
-def _try_prime(
-    data: ClassData, mats, cyclic, exponent: int, p: int
-) -> CharacterTable | None:
-    """The table from one prime p = 1 mod exponent, or None if p fails.
+def _table_mod(data: ClassData, p: int) -> CharacterTable:
+    """The table computed mod Dixon's prime p.
 
     Common eigenvectors of the class matrices give the central characters
     omega, and orthogonality gives each degree.  The lift then runs one
@@ -498,10 +493,9 @@ def _try_prime(
     at j*a mod o.
     """
     r = data.num_classes
-    vectors = _common_eigenvectors(mats, p)
-    if vectors is None:
-        return None
-
+    exponent = data.exponent
+    cyclic = _cyclic_subgroup_classes(data)
+    vectors = _common_eigenvectors(data, p)
     inverse_class = [data.class_of[_invert(rep)] for rep in data.representatives]
     size_inverse = [pow(s, p - 2, p) for s in data.sizes]
     order_residue = data.group_order % p
@@ -521,7 +515,7 @@ def _try_prime(
     rows = []
     for v in vectors:
         if v[0] % p == 0:
-            return None
+            raise OracleInconsistencyError(f"an eigenvector vanishes at class 0 mod {p}")
         scale = pow(v[0], p - 2, p)
         omega = [x * scale % p for x in v]
         norm = (
@@ -529,13 +523,13 @@ def _try_prime(
             % p
         )
         if norm == 0:
-            return None
+            raise OracleInconsistencyError(f"a character norm vanishes mod {p}")
         degree_sq = order_residue * pow(norm, p - 2, p) % p
         degree = next(
             (t for t in range(1, (p + 1) // 2) if t * t % p == degree_sq), None
         )
         if degree is None:
-            return None
+            raise OracleInconsistencyError(f"a degree has no square root below {p}/2")
         residues = [degree * omega[k] % p * size_inverse[k] % p for k in range(r)]
 
         values = [None] * r
@@ -554,14 +548,14 @@ def _try_prime(
                     multiplicity[j] = m_j
                     total += m_j
             if total != degree:
-                return None
+                raise OracleInconsistencyError(f"multiplicities miss the degree mod {p}")
             stride = exponent // o
             for k, a in members:
                 values[k] = canonicalize(
                     exponent, {j * a % o * stride: m for j, m in multiplicity.items()}
                 )
         if not values[0].is_rational or values[0].as_rational() != degree:
-            return None
+            raise OracleInconsistencyError(f"a lifted degree is not the degree mod {p}")
         rows.append((degree, values))
 
     rows.sort(key=lambda item: (item[0], tuple(v.key() for v in item[1])))
@@ -583,20 +577,16 @@ def dixon_character_table(group: PermGroup) -> CharacterTable:
     Output classes are named c0, c1, ... in the canonical class order of
     `enumerate_and_classify`; characters are named x0, x1, ... sorted by
     (degree, value tuple).  The result is validated against the standard
-    table identities before being returned.
+    table identities before being returned; any failed check raises
+    `OracleInconsistencyError`.
     """
     data = enumerate_and_classify(group)
-    mats = _structure_constants(data)
-    cyclic = _cyclic_subgroup_classes(data)
-    exponent = data.exponent
-    for p in _candidate_primes(exponent, data.group_order, 25):
-        table = _try_prime(data, mats, cyclic, exponent, p)
-        if table is not None:
-            report = validate_table(table)
-            if not report:
-                raise RuntimeError(f"oracle produced an invalid table: {report.failure}")
-            return table
-    raise RuntimeError("character table computation failed for 25 candidate primes")
+    # Dixon's prime: p^2 > 4|G| exactly when p > isqrt(4|G|)
+    table = _table_mod(data, prime_1_mod(data.exponent, isqrt(4 * data.group_order)))
+    report = validate_table(table)
+    if not report:
+        raise OracleInconsistencyError(f"oracle produced an invalid table: {report.failure}")
+    return table
 
 
 # ---------------------------------------------------------------------------

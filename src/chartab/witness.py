@@ -143,14 +143,18 @@ class Witness:
     trail: tuple[TrailStep, ...]
 
     def to_json(self) -> dict:
+        # a deep value takes seconds to print: the trail step that holds the
+        # value itself reuses its text
+        value = str(self.value)
         return {
             "query": self.query.to_json(),
             "expression": {"factors": [f.to_json() for f in self.factors]},
             "k": self.k,
-            "value": str(self.value),
+            "value": value,
             "decimal": render_decimal(self.value),
             "trail": [
-                {"choice": s.choice, "rule": s.rule, "value": str(s.value)}
+                {"choice": s.choice, "rule": s.rule,
+                 "value": value if s.value is self.value else str(s.value)}
                 for s in self.trail
             ],
         }
@@ -281,7 +285,9 @@ def _scan_sequence(
     ln, ld, hn, hd = floor.numerator, floor.denominator, ceiling.numerator, ceiling.denominator
     k = k_start
     while True:
-        ak, bk, ek, fk = a**k, b**k, e**k, f**k
+        # a power of a reduced fraction is built reduced, with no gcd
+        s1, s2 = r1**k, r2**k
+        ak, bk, ek, fk = s1.numerator, s1.denominator, s2.numerator, s2.denominator
         # A(j) > target - epsilon - B(k), cross-multiplied by ld*q1*q2*b^j*f^k
         k_a = _first_below(-p1 * ld * q2 * fk, (ln * q2 * fk + p2 * ek * ld) * q1, a, b, k)
         # B(j) < target + epsilon - A(k), cross-multiplied by hd*q1*q2*b^k*f^j
@@ -291,7 +297,7 @@ def _scan_sequence(
                 f"witness scan passed the k guard {K_GUARD}; epsilon is too small"
             )
         if max(k_a, k_b) == k:
-            return k, c0 + c1 * Fraction(ak, bk) + c2 * Fraction(ek, fk)
+            return k, c0 + c1 * s1 + c2 * s2
         k = max(k_a, k_b)
 
 

@@ -8,20 +8,23 @@ plainly correct; the differential tests in `test_oracle.py` require the
 fast oracle to return the very same tables (palette keys and index rows).
 
 Only the helpers that the fast oracle did not change (enumeration, row
-reduction, prime choice) are imported from `chartab.oracle`.  The root of
-unity is still taken from the least primitive root mod p, as it was:
-the fast oracle takes another primitive root of unity, which conjugates
-each lifted row by one Galois automorphism and so yields the same set of
-rows, hence the same sorted table.
+reduction) are imported from `chartab.oracle`.  The reference keeps the
+loop over 25 candidate primes that the oracle had before it settled on the
+first of them, Dixon's prime.  The root of unity is still taken from the
+least primitive root mod p, as it was: the fast oracle takes another
+primitive root of unity, which conjugates each lifted row by one Galois
+automorphism and so yields the same set of rows, hence the same sorted
+table.
 """
 
 from __future__ import annotations
 
-from chartab.exactnum import canonicalize, factorize
+from math import isqrt
+
+from chartab.exactnum import canonicalize, factorize, prime_1_mod
 from chartab.oracle import (
     ClassData,
     PermGroup,
-    _candidate_primes,
     _invert,
     _kernel,
     _mul,
@@ -29,6 +32,15 @@ from chartab.oracle import (
     enumerate_and_classify,
 )
 from chartab.tables import CharacterTable, ClassInfo, validate_table
+
+
+def _candidate_primes(exponent: int, group_order: int, count: int):
+    """The first ``count`` primes p = 1 mod exponent with p^2 > 4|G|, in
+    increasing order; p^2 > 4|G| exactly when p > isqrt(4|G|)."""
+    p = isqrt(4 * group_order)
+    for _ in range(count):
+        p = prime_1_mod(exponent, p)
+        yield p
 
 
 def _primitive_root(p: int) -> int:

@@ -26,6 +26,11 @@ def test_traced_worker_runs_the_first_job_of_each_kind():
         for slot in jobs.pool_slots(workload):
             first.setdefault(slot[0]["kind"], slot[0])
     assert sorted(first) == sorted(worker.RUNNERS)
+    # the certify pool's first verify, the one job that reaches the oracle
+    verify = next(
+        job for slot in jobs.pool_slots("certify") for job in slot
+        if job.get("argv", [""])[0] == "verify"
+    )
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -33,5 +38,10 @@ def test_traced_worker_runs_the_first_job_of_each_kind():
             result = worker.execute(job, tracer)
             assert result["error"] is None, job["id"]
             assert any(rec["calls"] for rec in result["spans"].values()), job["id"]
+        result = worker.execute(verify, tracer)
+        assert result["error"] is None, verify["id"]
+        calls = {name: rec["calls"] for name, rec in result["spans"].items()}
+        oracle_calls = {name: n for name, n in calls.items() if name.startswith("oracle.")}
+        assert len(oracle_calls) == 4 and all(oracle_calls.values()), oracle_calls
     finally:
         tracer.uninstall()

@@ -148,6 +148,35 @@ def test_witness_pretty(capsys):
     assert "value = " in out
 
 
+def test_witness_renders_the_accepted_value_once(capsys, monkeypatch):
+    # the value and the trail's hit step are one object, printed from one text
+    found = []
+
+    def recording(*args):
+        found.append(witness.find_witness(*args))
+        return found[-1]
+
+    renders = Counter()
+    fraction_str = Fraction.__str__
+
+    def counting(self):
+        if found and self is found[-1].value:
+            renders[len(found)] += 1
+        return fraction_str(self)
+
+    monkeypatch.setattr(cli, "find_witness", recording)
+    monkeypatch.setattr(Fraction, "__str__", counting)
+    for fmt in ("json", "pretty"):
+        code, out, _ = run(
+            capsys,
+            "witness", "--stat", "theta", "--scope", "character",
+            "--target", "3/4", "--eps", "1/100", "--format", fmt,
+        )
+        assert code == 0
+        assert out.count(fraction_str(found[-1].value)) == 2
+    assert renders == {1: 1, 2: 1}
+
+
 def test_witness_decimal_targets_are_exact(capsys):
     code, out, _ = run(
         capsys,
@@ -441,6 +470,16 @@ def test_verify_psl2even_4(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "8c1c212bf58b263cfecc6d7ce530f72028ef4891de4f488c6a75f44e0c81d56c"
     )
+
+
+def test_verify_reports_an_oracle_fault_in_one_line(capsys, monkeypatch):
+    real = oracle._eigenvalues
+    monkeypatch.setattr(oracle, "_eigenvalues", lambda mat, p: real(mat, p)[1:])
+    code, out, err = run(capsys, "verify", "dihedral", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("chartab: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_checks_the_group_order_first(capsys, monkeypatch):

@@ -7,15 +7,16 @@ import pytest
 from compare_reference import reference_compare_tables
 from oracle_reference import reference_character_table, reference_eigenvalues
 
+from chartab import oracle
 from chartab.exactnum import factorize
 from chartab.oracle import (
     GroupTooLargeError,
+    OracleInconsistencyError,
     PermGroup,
-    _candidate_primes,
+    _class_matrix,
     _cyclic_subgroup_classes,
     _eigenvalues,
     _mul,
-    _structure_constants,
     builtin_perm_group,
     compare_tables,
     dixon_character_table,
@@ -219,15 +220,14 @@ def test_dixon_matches_the_dense_reference(group):
     assert fast == slow
 
 
-def _trial_division_primes(exponent: int, group_order: int, count: int):
-    """The prime choice as it stood before the split-prime helpers."""
-    found = 0
+def _trial_division_prime(exponent: int, group_order: int) -> int:
+    """The first prime of the search as it stood before the split-prime
+    helpers: p = 1 mod exponent with p^2 > 4|G|, tested by factorizing."""
     p = 1
-    while found < count:
+    while True:
         p += exponent
         if p * p > 4 * group_order and factorize(p) == {p: 1}:
-            found += 1
-            yield p
+            return p
 
 
 @pytest.mark.parametrize(
@@ -236,10 +236,45 @@ def _trial_division_primes(exponent: int, group_order: int, count: int):
      *(Psl2Even(r) for r in range(2, 4)), Product((Dihedral(2), Psl2Even(2)))],
     ids=repr,
 )
-def test_candidate_primes_match_trial_division(spec):
-    data = enumerate_and_classify(builtin_perm_group(spec))
-    args = (data.exponent, data.group_order, 25)
-    assert list(_candidate_primes(*args)) == list(_trial_division_primes(*args))
+def test_candidate_primes_match_trial_division(spec, monkeypatch):
+    # the oracle's one prime is the first candidate of the old search
+    primes, table_mod = [], oracle._table_mod
+
+    def recording(data, p):
+        primes.append(p)
+        return table_mod(data, p)
+
+    monkeypatch.setattr(oracle, "_table_mod", recording)
+    group = builtin_perm_group(spec)
+    dixon_character_table(group)
+    data = enumerate_and_classify(group)
+    assert primes == [_trial_division_prime(data.exponent, data.group_order)]
+
+
+def test_a_failed_check_raises(monkeypatch):
+    # with a root of each characteristic polynomial dropped, the split
+    # cannot end one-dimensional; no second prime hides the fault
+    real = oracle._eigenvalues
+    monkeypatch.setattr(oracle, "_eigenvalues", lambda mat, p: real(mat, p)[1:])
+    with pytest.raises(OracleInconsistencyError, match="not diagonalizable"):
+        dixon_character_table(S4)
+
+
+@pytest.mark.parametrize(
+    "spec, built, classes", [(Extraspecial2(3), 21, 65), (Psl2Even(4), 13, 17)], ids=repr
+)
+def test_class_matrices_are_built_on_demand(monkeypatch, spec, built, classes):
+    calls = []
+
+    def counted(data, i):
+        calls.append(i)
+        return _class_matrix(data, i)
+
+    monkeypatch.setattr(oracle, "_class_matrix", counted)
+    table = dixon_character_table(builtin_perm_group(spec))
+    assert table.num_classes == classes
+    # classes 1, 2, ... in order, each once, up to the last split
+    assert calls == list(range(1, built + 1))
 
 
 def test_eigenvalues_match_a_lambda_scan():
@@ -476,9 +511,9 @@ def test_class_matrices_commute(spec):
     data = enumerate_and_classify(builtin_perm_group(spec))
     r = data.num_classes
     dense = []
-    for entries in _structure_constants(data):
+    for i in range(r):
         mat = [[0] * r for _ in range(r)]
-        for j, k, count in entries:
+        for j, k, count in _class_matrix(data, i):
             mat[j][k] = count
         dense.append(mat)
 

@@ -545,6 +545,17 @@ def test_deep_outputs_match_parent(capsys):
     assert got == DEEP_DIGESTS
 
 
+def test_a_deep_value_is_built_without_big_gcds():
+    # the accepted value has a 1.4M-bit denominator; normalizing it through
+    # Fraction(a^k, b^k) took seconds of gcds, r^k takes none
+    started = time.perf_counter()
+    w = find_witness(StatKind.U_ELEM, Scope.CHARACTER, Fraction(1, 1000), Fraction(1, 3000))
+    elapsed = time.perf_counter() - started
+    assert w.k == 54229
+    assert verify_witness(w).replay_value == w.value
+    assert elapsed < 2, f"search took {elapsed:.2f}s"
+
+
 def test_scan_that_never_enters_the_band_hits_the_k_guard():
     # 1/2 - (1/4)*(1/2)^k stays below 1 - 1/100 for every k; the linear walk
     # would have stepped through all K_GUARD values of k first
