@@ -9,6 +9,16 @@ each field element has exactly one stored form per conductor.  Conductors
 are never shrunk behind the caller's back: a value keeps the conductor it
 was built with, and mixed-conductor arithmetic lands in the lcm field.
 
+The rewrite rows of a conductor n (zeta_n^e in the power basis for each e
+from phi(n) to n - 1) are one immutable table, built whole by
+``_reduction_rows`` the first time a value of conductor n needs one and
+shared from then on.  The module holds no mutable state, so threads may
+reduce values concurrently (two threads that miss a cold table at once
+each build an equal copy).  It is a table rather than a polynomial
+remainder per reduction because the remainder costs more on every call:
+``stats psl2even 9`` took 0.20-0.35 s with it against 0.13-0.20 s with
+the table (in-process, six runs each, on a 2-core VM).
+
 Arithmetic is exposed through the usual operators (``+``, ``-``, ``*``,
 unary ``-``) plus ``conjugate()``; there is no division.  All coefficients
 are ``fractions.Fraction`` (plain ``int`` is kept where the value is
@@ -111,28 +121,26 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-# Per conductor: list of rewrite rows, row j being the power-basis expansion
-# of zeta^(phi(n)+j).  Rows are built incrementally and cached for reuse.
-_REDUCTION_ROWS: dict[int, list[dict[int, int]]] = {}
-
-
-def _reduction_row(n: int, e: int) -> dict[int, int]:
+@lru_cache(maxsize=None)
+def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rewrite table of conductor n: row j is zeta_n^(phi(n)+j) in the
+    power basis, as (exponent, coefficient) pairs, for j < n - phi(n)."""
     phi = totient(n)
-    rows = _REDUCTION_ROWS.setdefault(n, [])
-    while len(rows) <= e - phi:
+    rows: list[tuple[tuple[int, int], ...]] = []
+    while len(rows) < n - phi:
         if not rows:
             poly = cyclotomic_coeffs(n)
-            rows.append({i: -c for i, c in enumerate(poly[:-1]) if c})
+            rows.append(tuple((i, -c) for i, c in enumerate(poly[:-1]) if c))
         else:
             nxt: dict[int, int] = {}
-            for exp, c in rows[-1].items():
+            for exp, c in rows[-1]:
                 if exp + 1 == phi:
-                    for e2, m in rows[0].items():
+                    for e2, m in rows[0]:
                         nxt[e2] = nxt.get(e2, 0) + c * m
                 else:
                     nxt[exp + 1] = nxt.get(exp + 1, 0) + c
-            rows.append({k: v for k, v in nxt.items() if v})
-    return rows[e - phi]
+            rows.append(tuple((k, v) for k, v in nxt.items() if v))
+    return tuple(rows)
 
 
 def _norm_coeff(c):
@@ -153,7 +161,7 @@ def _build(n: int, raw) -> "Cyclotomic":
         if e < phi:
             acc[e] = acc.get(e, 0) + c
         else:
-            for e2, m in _reduction_row(n, e).items():
+            for e2, m in _reduction_rows(n)[e - phi]:
                 acc[e2] = acc.get(e2, 0) + c * m
     coeffs = tuple(sorted((e, _norm_coeff(c)) for e, c in acc.items() if c))
     return Cyclotomic(n, coeffs)

@@ -321,9 +321,12 @@ def spec_group_order(spec: FamilySpec) -> int:
     return family.group_order(value)
 
 
-def _log2_floor(spec: FamilySpec, order: bool) -> int:
+def log2_floor(spec: FamilySpec, order: bool = False) -> int:
+    """A lower bound on floor(log2) of the class count of ``spec`` (or of
+    its group order), read off the parameters: exact for a single family,
+    the sum of the factors' bounds for a product."""
     if isinstance(spec, Product):
-        return sum(_log2_floor(f, order) for f in spec.factors)
+        return sum(log2_floor(f, order) for f in spec.factors)
     family, value = single_family(spec)
     return (family.group_order_log2 if order else family.class_count_log2)(value)
 
@@ -337,7 +340,7 @@ def log2_past_limit(spec: FamilySpec, limit: int, order: bool = False) -> int | 
     is floor(log2) of the count; for a product it is the sum of its
     factors' b, since floor(log2(xy)) >= floor(log2 x) + floor(log2 y).
     """
-    b = _log2_floor(spec, order)
+    b = log2_floor(spec, order)
     return b if b >= limit.bit_length() else None
 
 
@@ -350,7 +353,7 @@ def check_table_guard(spec: FamilySpec) -> None:
     count itself, for a product the sum of its factors' floor(log2).
     """
     limit = env_limit("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT)
-    b = log2_past_limit(spec, max(limit, _DECIMAL_BELOW))
+    b = log2_past_limit(spec, max(limit, DECIMAL_BELOW))
     if b is not None:
         raise _too_many_classes("table", f"at least 2^{b}", limit)
     _check_class_count("table", spec_class_count(spec))
@@ -597,14 +600,15 @@ KINDS: dict[str, type] = {family.kind: spec for spec, family in FAMILIES.items()
 # products
 
 
-_DECIMAL_BELOW = 10**18
+# Counts from here up are named by their size (`describe_count`).
+DECIMAL_BELOW = 10**18
 
 
 def describe_count(n: int) -> str:
     """n in decimal when short, else by its size as ``at least 2^b``: the
     decimal digits of a guard-busting count can run to hundreds of
     thousands, past Python's int-to-string limit."""
-    if n < _DECIMAL_BELOW:
+    if n < DECIMAL_BELOW:
         return str(n)
     return f"at least 2^{n.bit_length() - 1}"
 

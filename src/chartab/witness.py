@@ -55,6 +55,7 @@ from chartab.stats import (
     series,
 )
 from chartab.tables import (
+    DECIMAL_BELOW,
     Dihedral,
     Extraspecial2,
     FamilySpec,
@@ -62,6 +63,7 @@ from chartab.tables import (
     build_table,
     check_table_guard,
     describe_count,
+    log2_floor,
     spec_class_count,
     spec_to_json,
 )
@@ -579,12 +581,19 @@ def verify_witness(w: Witness) -> VerificationReport:
             f"recurrence replay gives {replay}, witness records {w.value}"
         )
 
-    total_classes = 1
-    for fct in w.factors:
-        total_classes *= spec_class_count(fct.family) ** fct.power
     table_value = None
     skipped = None
-    if total_classes > VERIFY_CLASS_LIMIT:
+    # At least 2^b classes, read off the parameters as `check_table_guard`
+    # reads a product; a count past both the guard and 10^18 is never built.
+    b = sum(fct.power * log2_floor(fct.family) for fct in w.factors)
+    if b >= max(VERIFY_CLASS_LIMIT, DECIMAL_BELOW).bit_length():
+        skipped = (
+            f"explicit table skipped: at least 2^{b} classes exceed "
+            f"the guard {VERIFY_CLASS_LIMIT}"
+        )
+    elif (total_classes := math.prod(
+        spec_class_count(fct.family) ** fct.power for fct in w.factors
+    )) > VERIFY_CLASS_LIMIT:
         skipped = (
             f"explicit table skipped: {describe_count(total_classes)} classes exceed "
             f"the guard {VERIFY_CLASS_LIMIT}"

@@ -2,6 +2,7 @@
 
 import cmath
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
 
@@ -13,6 +14,7 @@ from chartab.exactnum import (
     InvalidConductorError,
     NotAlgebraicIntegerError,
     ValueClass,
+    _reduction_rows,
     canonicalize,
     classify_value,
     cyclotomic_coeffs,
@@ -70,6 +72,60 @@ def test_reduction_folds_high_powers():
     # exponents are taken mod the conductor
     assert canonicalize(5, {7: 1}) == zeta(5, 2)
     assert canonicalize(6, {6: 1}) == one
+
+
+def _remainder_of_power(m: int, poly: list[int]) -> list[int]:
+    """x^m mod the monic poly (low degree first), by schoolbook long division."""
+    deg = len(poly) - 1
+    rem = [0] * m + [1]
+    for top in range(m, deg - 1, -1):
+        c = rem[top]
+        if c:
+            for i, q in enumerate(poly):
+                rem[top - deg + i] -= c * q
+    return rem[:deg]
+
+
+def test_reduction_rows_are_the_remainders_of_powers():
+    x = sympy.Symbol("x")
+    for n in range(1, 121):
+        phi = totient(n)
+        poly = [int(c) for c in sympy.cyclotomic_poly(n, x).as_poly(x).all_coeffs()[::-1]]
+        rows = _reduction_rows(n)
+        assert isinstance(rows, tuple) and len(rows) == n - phi, n
+        for j, row in enumerate(rows):
+            assert isinstance(row, tuple)
+            rem = _remainder_of_power(phi + j, poly)
+            assert dict(row) == {e: c for e, c in enumerate(rem) if c}, (n, j)
+
+
+# no other test reduces in these conductors, so their tables start cold here
+THREAD_CONDUCTORS = (2805, 3003)
+
+
+def _reduce_descending() -> list[tuple[int, int, Cyclotomic]]:
+    # the highest exponent first: one call needs the last row of the table
+    return [
+        (n, e, zeta(n, e))
+        for n in THREAD_CONDUCTORS
+        for e in range(n - 1, totient(n) - 1, -37)
+    ]
+
+
+def test_threads_reducing_a_cold_conductor_get_exact_values():
+    with ThreadPoolExecutor(2) as pool:
+        runs = [pool.submit(_reduce_descending) for _ in range(2)]
+        reduced = [item for run in runs for item in run.result()]
+    wrong = []
+    for n in THREAD_CONDUCTORS:
+        p = prime_1_mod(n, 2**61)
+        omega = root_of_unity(n, p)
+        wrong += [
+            (n, e)
+            for m, e, value in reduced
+            if m == n and residues([value], p, omega, n) != [pow(omega, e, p)]
+        ]
+    assert wrong == []
 
 
 def test_canonicalize_is_idempotent():
