@@ -12,12 +12,14 @@ was built with, and mixed-conductor arithmetic lands in the lcm field.
 The rewrite rows of a conductor n (zeta_n^e in the power basis for each e
 from phi(n) to n - 1) are one immutable table, built whole by
 ``_reduction_rows`` the first time a value of conductor n needs one and
-shared from then on.  The module holds no mutable state, so threads may
-reduce values concurrently (two threads that miss a cold table at once
-each build an equal copy).  It is a table rather than a polynomial
+shared from then on.  Each row is the canonical form of a root of unity,
+which ``classify_value`` looks values up among.  The module holds no
+mutable state, so threads may reduce values concurrently (two threads
+that miss a cold table at once each build an equal copy).  It is a table
+rather than a polynomial
 remainder per reduction because the remainder costs more on every call:
-``stats psl2even 9`` took 0.20-0.35 s with it against 0.13-0.20 s with
-the table (in-process, six runs each, on a 2-core VM).
+``stats psl2even 9`` took 0.20-0.35 s with it against 0.13-0.20 s with the
+table (in-process, six runs each, on a 2-core VM).
 
 Arithmetic is exposed through the usual operators (``+``, ``-``, ``*``,
 unary ``-``) plus ``conjugate()``; there is no division.  All coefficients
@@ -124,7 +126,8 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The rewrite table of conductor n: row j is zeta_n^(phi(n)+j) in the
-    power basis, as (exponent, coefficient) pairs, for j < n - phi(n)."""
+    power basis, as sorted (exponent, coefficient) pairs (its canonical
+    form), for j < n - phi(n)."""
     phi = totient(n)
     rows: list[tuple[tuple[int, int], ...]] = []
     while len(rows) < n - phi:
@@ -139,8 +142,14 @@ def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                         nxt[e2] = nxt.get(e2, 0) + c * m
                 else:
                     nxt[exp + 1] = nxt.get(exp + 1, 0) + c
-            rows.append(tuple((k, v) for k, v in nxt.items() if v))
+            rows.append(tuple(sorted((k, v) for k, v in nxt.items() if v)))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _reduced_roots(n: int) -> frozenset:
+    """The rows of `_reduction_rows(n)`, by reference, as a set."""
+    return frozenset(_reduction_rows(n))
 
 
 def _norm_coeff(c):
@@ -442,16 +451,20 @@ def m_invariant(a: Cyclotomic) -> Fraction:
 def classify_value(a: Cyclotomic) -> ValueClass:
     """Classify a cyclotomic integer as zero, a root of unity, or other.
 
-    A nonzero cyclotomic integer is a root of unity exactly when its squared
-    modulus equals 1 (equivalently, when ``m_invariant`` equals 1; the test
-    suite checks the two routes agree).  The squared-modulus form is used
-    here because it costs a single multiplication.
+    The roots of unity of Q(zeta_n) are exactly +-zeta_n^e, and a value
+    has one canonical form per conductor: a value is a root of unity
+    exactly when it, or its negation, is the single term zeta_n^e with
+    e < phi(n) or a row of `_reduction_rows`.  That is a lookup with no
+    multiplication (``m_invariant`` equals 1 on the same values).
     """
     _require_integral(a)
-    if a.is_zero:
+    coeffs = a.coeffs
+    if not coeffs:
         return ValueClass.ZERO
-    sq = a.abs_squared()
-    if sq.is_rational and sq.as_rational() == 1:
+    if len(coeffs) == 1:  # c*zeta_n^e has squared modulus c^2
+        return ValueClass.ROOT_OF_UNITY if coeffs[0][1] in (1, -1) else ValueClass.OTHER
+    roots = _reduced_roots(a.conductor)
+    if coeffs in roots or tuple((e, -c) for e, c in coeffs) in roots:
         return ValueClass.ROOT_OF_UNITY
     return ValueClass.OTHER
 

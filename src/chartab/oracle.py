@@ -63,8 +63,9 @@ from chartab.tables import (
     FamilySpec,
     InvalidParameterError,
     Product,
+    count_past,
     env_limit,
-    log2_past_limit,
+    log2_floor,
     single_family,
     spec_group_order,
     validate_table,
@@ -190,11 +191,10 @@ class ClassData:
 
 def check_group_limit(spec: FamilySpec) -> None:
     """Refuse a family whose order is above the element limit, before any
-    permutation realization of it is built.  A single family whose
-    parameter alone puts the order past the limit is refused without
-    building the order."""
+    permutation realization of it is built; `count_past` decides, so an
+    order past 10^18 is refused without being built."""
     limit = env_limit(GROUP_LIMIT_ENV, DEFAULT_GROUP_LIMIT)
-    if log2_past_limit(spec, limit, order=True) is not None or spec_group_order(spec) > limit:
+    if count_past(log2_floor(spec, order=True), lambda: spec_group_order(spec), limit):
         raise GroupTooLargeError(limit)
 
 

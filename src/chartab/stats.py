@@ -52,7 +52,7 @@ from chartab.tables import (
     Product,
     Psl2Even,
     TableTooLargeError,
-    describe_count,
+    count_past,
     env_limit,
     single_family,
 )
@@ -333,13 +333,13 @@ def _psl2_group_record(r: int) -> StatRecord:
     root of unity exactly when e has order 3 mod c, where the pair sums
     to -1.  Everything else is counting.
     """
-    q = 2**r
     limit = env_limit("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT)
-    if q + 1 > limit:
+    # floor(log2) of its q + 1 classes is r
+    if walks := count_past(r, lambda: 2**r + 1, limit):
         raise TableTooLargeError(
-            f"the group record of psl2even({r}) walks {describe_count(q + 1)} "
-            f"classes, above the guard {limit}"
+            f"the group record of psl2even({r}) walks {walks} classes, above the guard {limit}"
         )
+    q = 2**r
     order = q**3 - q
     ncls = q + 1
     nsplit = (q - 2) // 2

@@ -324,39 +324,19 @@ def spec_group_order(spec: FamilySpec) -> int:
 def log2_floor(spec: FamilySpec, order: bool = False) -> int:
     """A lower bound on floor(log2) of the class count of ``spec`` (or of
     its group order), read off the parameters: exact for a single family,
-    the sum of the factors' bounds for a product."""
+    the sum of the factors' bounds for a product, since
+    floor(log2(xy)) >= floor(log2 x) + floor(log2 y)."""
     if isinstance(spec, Product):
         return sum(log2_floor(f, order) for f in spec.factors)
     family, value = single_family(spec)
     return (family.group_order_log2 if order else family.class_count_log2)(value)
 
 
-def log2_past_limit(spec: FamilySpec, limit: int, order: bool = False) -> int | None:
-    """b, with 2^b at most the class count of ``spec`` (or its group
-    order), when 2^b alone is past ``limit``; otherwise None.
-
-    b is read off the parameters by the `FAMILIES` records, so a count of
-    billions of bits is never built to be refused.  For a single family b
-    is floor(log2) of the count; for a product it is the sum of its
-    factors' b, since floor(log2(xy)) >= floor(log2 x) + floor(log2 y).
-    """
-    b = log2_floor(spec, order)
-    return b if b >= limit.bit_length() else None
-
-
 def check_table_guard(spec: FamilySpec) -> None:
-    """The class guard `build_table` applies before anything is built.
-
-    A spec whose parameters alone put the count past both the limit and
-    10^18 is refused as ``at least 2^b``: for a single family (or a
-    one-factor product) the words `describe_count` would print for the
-    count itself, for a product the sum of its factors' floor(log2).
-    """
-    limit = env_limit("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT)
-    b = log2_past_limit(spec, max(limit, DECIMAL_BELOW))
-    if b is not None:
-        raise _too_many_classes("table", f"at least 2^{b}", limit)
-    _check_class_count("table", spec_class_count(spec))
+    """The class guard `build_table` applies before anything is built:
+    `count_past` with the floor(log2) the parameters give, so a count
+    past both the limit and 10^18 is refused as ``at least 2^b``."""
+    _check_class_count("table", log2_floor(spec), lambda: spec_class_count(spec))
 
 
 def build_table(spec: FamilySpec) -> CharacterTable:
@@ -613,6 +593,19 @@ def describe_count(n: int) -> str:
     return f"at least 2^{n.bit_length() - 1}"
 
 
+def count_past(b: int, count, limit: int) -> str | None:
+    """The one size-guard rule: the name of a count past ``limit``, or None.
+
+    ``b`` is a lower bound on floor(log2) of the count (`log2_floor`) and
+    ``count()`` builds it.  Once 2^b alone is past both the limit and 10^18
+    the count is ``at least 2^b`` and is never built; below, it is built
+    and named by `describe_count`."""
+    if b >= max(limit, DECIMAL_BELOW).bit_length():
+        return f"at least 2^{b}"
+    n = count()
+    return describe_count(n) if n > limit else None
+
+
 def env_limit(name: str, default: int) -> int:
     """The positive decimal integer in environment variable ``name``, else ``default``."""
     raw = os.environ.get(name)
@@ -623,17 +616,13 @@ def env_limit(name: str, default: int) -> int:
     return int(raw)
 
 
-def _too_many_classes(what: str, count: str, limit: int) -> TableTooLargeError:
-    return TableTooLargeError(
-        f"{what} would have {count} classes, above the guard {limit}; "
-        f"use closed-form statistics and recurrences for {what}s this size"
-    )
-
-
-def _check_class_count(what: str, count: int) -> None:
+def _check_class_count(what: str, b: int, count) -> None:
     limit = env_limit("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT)
-    if count > limit:
-        raise _too_many_classes(what, describe_count(count), limit)
+    if named := count_past(b, count, limit):
+        raise TableTooLargeError(
+            f"{what} would have {named} classes, above the guard {limit}; "
+            f"use closed-form statistics and recurrences for {what}s this size"
+        )
 
 
 def product_table(a: CharacterTable, b: CharacterTable) -> CharacterTable:
@@ -646,7 +635,8 @@ def product_table(a: CharacterTable, b: CharacterTable) -> CharacterTable:
     is multiplied once.  Guarded by a class-count limit; oversized requests
     get an error pointing at the closed-form statistics instead.
     """
-    _check_class_count("product", a.num_classes * b.num_classes)
+    n = a.num_classes * b.num_classes
+    _check_class_count("product", n.bit_length() - 1, lambda: n)
 
     classes = tuple(
         ClassInfo(

@@ -55,14 +55,13 @@ from chartab.stats import (
     series,
 )
 from chartab.tables import (
-    DECIMAL_BELOW,
     Dihedral,
     Extraspecial2,
     FamilySpec,
     Psl2Even,
     build_table,
     check_table_guard,
-    describe_count,
+    count_past,
     log2_floor,
     spec_class_count,
     spec_to_json,
@@ -583,22 +582,14 @@ def verify_witness(w: Witness) -> VerificationReport:
 
     table_value = None
     skipped = None
-    # At least 2^b classes, read off the parameters as `check_table_guard`
-    # reads a product; a count past both the guard and 10^18 is never built.
     b = sum(fct.power * log2_floor(fct.family) for fct in w.factors)
-    if b >= max(VERIFY_CLASS_LIMIT, DECIMAL_BELOW).bit_length():
-        skipped = (
-            f"explicit table skipped: at least 2^{b} classes exceed "
-            f"the guard {VERIFY_CLASS_LIMIT}"
-        )
-    elif (total_classes := math.prod(
-        spec_class_count(fct.family) ** fct.power for fct in w.factors
-    )) > VERIFY_CLASS_LIMIT:
-        skipped = (
-            f"explicit table skipped: {describe_count(total_classes)} classes exceed "
-            f"the guard {VERIFY_CLASS_LIMIT}"
-        )
-    elif total_classes * total_classes > VERIFY_CELL_LIMIT:
+
+    def class_count() -> int:
+        return math.prod(spec_class_count(fct.family) ** fct.power for fct in w.factors)
+
+    if named := count_past(b, class_count, VERIFY_CLASS_LIMIT):
+        skipped = f"explicit table skipped: {named} classes exceed the guard {VERIFY_CLASS_LIMIT}"
+    elif (total_classes := class_count()) * total_classes > VERIFY_CELL_LIMIT:
         skipped = (
             f"explicit table skipped: {total_classes * total_classes} cells "
             f"exceed the guard {VERIFY_CELL_LIMIT}"

@@ -1,0 +1,26 @@
+"""The size-guard rule lives in `tables` alone.
+
+`tables.count_past` decides when a count is too large to build and names
+it ``at least 2^b``; every class and order guard calls it.  A module that
+reads `DECIMAL_BELOW` or writes ``at least 2^`` itself holds a second
+copy of the rule, which can drift from the first.
+"""
+
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "chartab").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_tables_decides_and_names_a_huge_count(path):
+    if path.name == "tables.py":
+        return
+    text = path.read_text()
+    for marker in ("DECIMAL_BELOW", "at least 2^"):
+        assert marker not in text, f"{path.name} contains {marker!r}"
+
+
+def test_the_rule_is_in_tables():
+    assert "def count_past(" in (SOURCES[0].parent / "tables.py").read_text()

@@ -24,9 +24,11 @@ from chartab.tables import (
     Psl2Even,
     TableTooLargeError,
     build_table,
+    count_past,
+    describe_count,
     dihedral_table,
     extraspecial2_table,
-    log2_past_limit,
+    log2_floor,
     product_table,
     psl2_even_table,
     spec_class_count,
@@ -307,22 +309,37 @@ def test_spec_counts_and_orders_match_the_tables():
         assert (spec_class_count(spec), spec_group_order(spec)) == (t.num_classes, t.group_order)
 
 
-def test_log2_past_limit_reads_the_floor_log2_of_each_count_off_the_parameter():
+def test_count_past_reads_the_floor_log2_of_each_count_off_the_parameter():
     for family in (Dihedral, Extraspecial2, Psl2Even):
         for k in range(1, 70):
             spec = family(k)
             for order, count in ((False, spec_class_count(spec)), (True, spec_group_order(spec))):
-                b = count.bit_length() - 1
-                # 2^b is past every limit below it, and past none from 2^b on
-                assert log2_past_limit(spec, (1 << b) - 1, order) == b
-                assert log2_past_limit(spec, 1 << b, order) is None
+                # log2_floor is floor(log2) of the count itself
+                assert log2_floor(spec, order) == count.bit_length() - 1
     # a product sums its factors' floor(log2): a lower bound, exact for one factor
-    assert log2_past_limit(Product((Dihedral(40),)), 1) == 39
-    assert log2_past_limit(Product((Dihedral(40), Psl2Even(3))), 1) == 42
-    assert log2_past_limit(Product((Dihedral(40), Product((Psl2Even(3),)))), 1 << 42) is None
-    assert log2_past_limit(Product(()), 1) is None
+    assert log2_floor(Product((Dihedral(40),))) == 39
+    assert log2_floor(Product((Dihedral(40), Psl2Even(3)))) == 42
+    assert log2_floor(Product((Dihedral(40), Product((Psl2Even(3),))))) == 42
+    assert log2_floor(Product(())) == 0
     with pytest.raises(InvalidParameterError, match=r"^n must be a positive integer, got 0"):
-        log2_past_limit(Dihedral(0), 1)
+        log2_floor(Dihedral(0))
+
+    def never():
+        raise AssertionError("built the count")
+
+    # from 2^60 > 10^18 on, and past the limit, the count is named by b alone
+    assert count_past(60, never, 10**6) == "at least 2^60"
+    assert count_past(70, never, (1 << 70) - 1) == "at least 2^70"
+    assert count_past(10**9, never, 1) == f"at least 2^{10**9}"
+    # below that the count is built, named by describe_count, and past the
+    # limit only above it
+    for b, count in ((19, 999_999), (19, 10**6 + 1), (59, 10**18 - 1), (59, 10**18),
+                     (69, (1 << 70) - 1)):
+        for limit in (count - 1, count):
+            expected = describe_count(count) if count > limit else None
+            assert count_past(b, lambda: count, limit) == expected, (b, count, limit)
+    assert count_past(59, lambda: 10**18, 1) == "at least 2^59"
+    assert count_past(0, lambda: 1, 1) is None
 
 
 @pytest.mark.parametrize(
