@@ -13,13 +13,13 @@ The rewrite rows of a conductor n (zeta_n^e in the power basis for each e
 from phi(n) to n - 1) are one immutable table, built whole by
 ``_reduction_rows`` the first time a value of conductor n needs one and
 shared from then on.  Each row is the canonical form of a root of unity,
-which ``classify_value`` looks values up among.  The module holds no
-mutable state, so threads may reduce values concurrently (two threads
-that miss a cold table at once each build an equal copy).  It is a table
-rather than a polynomial
-remainder per reduction because the remainder costs more on every call:
-``stats psl2even 9`` took 0.20-0.35 s with it against 0.13-0.20 s with the
-table (in-process, six runs each, on a 2-core VM).
+and ``classify_value`` looks values up among the rows.  The module holds
+no mutable state, so threads may reduce values concurrently (two
+threads that miss a cold table at once each build an equal copy).  It is
+a table rather than a polynomial remainder per reduction because the
+remainder costs more on every call:
+``stats psl2even 9`` took 0.20-0.35 s with it against 0.13-0.20 s with
+the table (in-process, six runs each, on a 2-core VM).
 
 Arithmetic is exposed through the usual operators (``+``, ``-``, ``*``,
 unary ``-``) plus ``conjugate()``; there is no division.  All coefficients

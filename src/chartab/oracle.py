@@ -192,7 +192,7 @@ class ClassData:
 def check_group_limit(spec: FamilySpec) -> None:
     """Refuse a family whose order is above the element limit, before any
     permutation realization of it is built; `count_past` decides, so an
-    order past 10^18 is refused without being built."""
+    order the parameters put at 2^60 or more is never built."""
     limit = env_limit(GROUP_LIMIT_ENV, DEFAULT_GROUP_LIMIT)
     if count_past(log2_floor(spec, order=True), lambda: spec_group_order(spec), limit):
         raise GroupTooLargeError(limit)

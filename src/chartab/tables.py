@@ -334,8 +334,8 @@ def log2_floor(spec: FamilySpec, order: bool = False) -> int:
 
 def check_table_guard(spec: FamilySpec) -> None:
     """The class guard `build_table` applies before anything is built:
-    `count_past` with the floor(log2) the parameters give, so a count
-    past both the limit and 10^18 is refused as ``at least 2^b``."""
+    `count_past` with the floor(log2) bound the parameters give, so a
+    count past both the limit and 10^18 by that bound is never built."""
     _check_class_count("table", log2_floor(spec), lambda: spec_class_count(spec))
 
 

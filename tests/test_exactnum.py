@@ -293,7 +293,8 @@ def test_random_roots_of_unity_have_unit_m_invariant():
         assert classify_value(v) is ValueClass.ROOT_OF_UNITY
 
 
-# the witness expressions of the certify pool's product queries
+# the witness expressions of the benchmark's product queries
+# (`PRODUCT_CERTIFY` in perfbench/jobs.py)
 PRODUCT_TABLES = (
     Product((Psl2Even(3),) * 3),
     Product((Extraspecial2(1),) * 4),
@@ -334,8 +335,8 @@ def test_classify_matches_the_squared_modulus_in_every_conductor():
 
 
 def test_classify_psl2even_10_palette_under_half_a_second():
-    # 1,030 dense cosine values in conductors 1023 and 1025; the squared
-    # modulus took 2.2 s here on a 2-core VM, the lookup 0.02 s
+    # 1,031 values, most of them dense cosines in conductors 1023 and 1025:
+    # the squared modulus took 2.2 s on a 2-core VM, the lookup 0.008 s
     palette = psl2_even_table(10).palette
     start = time.perf_counter()
     for v in palette:
