@@ -395,6 +395,9 @@ def _split_subspace(basis, pivots, mat, p):
     # the transposed restriction: its right eigenvectors give coefficient
     # vectors over the subspace basis
     transposed = [[image[pc] % p for image in images] for pc in pivots]
+    lam = transposed[0][0]
+    if all(transposed[i][j] == (lam if i == j else 0) for i in range(d) for j in range(d)):
+        return [(basis, pivots)]  # scalar: the whole subspace is one eigenspace
     pieces = []
     found = 0
     for lam in _eigenvalues(transposed, p):

@@ -343,10 +343,11 @@ def build_table(spec: FamilySpec) -> CharacterTable:
     """The generated table of a family spec.
 
     Every spec is checked against the class-count guard before anything is
-    built, so an oversized request fails fast instead of exhausting memory.
+    built, so an oversized request fails fast instead of exhausting memory:
+    a product here, before any factor, and a single family by its generator.
     """
-    check_table_guard(spec)
     if isinstance(spec, Product):
+        check_table_guard(spec)
         if not spec.factors:
             return trivial_table()
         table = build_table(spec.factors[0])
@@ -716,7 +717,7 @@ def validate_table(t: CharacterTable) -> ValidationReport:
         return fail("character_names and characters lengths differ")
     if any(len(row) != k for row in rows):
         return fail("ragged character row")
-    if t.classes[0].size != 1 or t.classes[0].element_order != 1:
+    if not t.classes or t.classes[0].size != 1 or t.classes[0].element_order != 1:
         return fail("first class is not the identity class")
 
     if sum(c.size for c in t.classes) != t.group_order:

@@ -69,8 +69,7 @@ from chartab.tables import (
 
 K_GUARD = 10**7
 PARAM_GUARD = 10**4
-VERIFY_CLASS_LIMIT = 10**5
-VERIFY_CELL_LIMIT = 8 * 10**6
+VERIFY_CLASS_LIMIT = 2828  # the largest class count whose table has at most 8 * 10**6 cells
 FACTOR_MEMO_SIZE = 64
 
 
@@ -524,7 +523,6 @@ def witness_global(kind: StatKind, target, epsilon) -> Witness:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    witness_value: Fraction
     replay_value: Fraction
     table_value: Fraction | None
     table_skipped: str | None
@@ -549,7 +547,7 @@ def verify_witness(w: Witness) -> VerificationReport:
     nonzero fractions, the unit fraction is the product of per-factor unit
     fractions (all witness factors satisfy the multiplicativity
     hypothesis).  (b) When the expression has at most `VERIFY_CLASS_LIMIT`
-    classes and at most `VERIFY_CELL_LIMIT` table cells, count its explicit
+    classes, so at most 8 * 10**6 table cells, count its explicit
     product table from the factor tables (`count_factor`, then
     `fold_counts`): every product value is computed and classified exactly,
     so no multiplicativity is assumed, but the product table is never
@@ -589,11 +587,6 @@ def verify_witness(w: Witness) -> VerificationReport:
 
     if named := count_past(b, class_count, VERIFY_CLASS_LIMIT):
         skipped = f"explicit table skipped: {named} classes exceed the guard {VERIFY_CLASS_LIMIT}"
-    elif (total_classes := class_count()) * total_classes > VERIFY_CELL_LIMIT:
-        skipped = (
-            f"explicit table skipped: {total_classes * total_classes} cells "
-            f"exceed the guard {VERIFY_CELL_LIMIT}"
-        )
     else:
         counted = []
         for fct in w.factors:
@@ -604,4 +597,4 @@ def verify_witness(w: Witness) -> VerificationReport:
             raise WitnessInconsistencyError(
                 f"explicit table gives {table_value}, witness records {w.value}"
             )
-    return VerificationReport(w.value, replay, table_value, skipped)
+    return VerificationReport(replay, table_value, skipped)

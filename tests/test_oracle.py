@@ -277,6 +277,26 @@ def test_class_matrices_are_built_on_demand(monkeypatch, spec, built, classes):
     assert calls == list(range(1, built + 1))
 
 
+@pytest.mark.parametrize(
+    "spec, calls",
+    [(Extraspecial2(3), 64), (Dihedral(6), 34), (Psl2Even(4), 6), (Extraspecial2(4), 256)],
+    ids=repr,
+)
+def test_a_scalar_restriction_is_not_split(monkeypatch, spec, calls):
+    # most splits meet a restriction that is already scalar; only the
+    # others take a characteristic polynomial
+    made, real = [], oracle._eigenvalues
+
+    def counted(mat, p):
+        made.append(mat)
+        return real(mat, p)
+
+    monkeypatch.setattr(oracle, "_eigenvalues", counted)
+    table = dixon_character_table(builtin_perm_group(spec))
+    assert compare_tables(table, build_table(spec))
+    assert len(made) == calls
+
+
 def test_eigenvalues_match_a_lambda_scan():
     rng = random.Random(7)
     for p in (2, 3, 5, 7, 13, 17, 97):

@@ -1,5 +1,6 @@
 """Character-table builders: frozen small tables, counting lemmas, validation."""
 
+import dataclasses
 import random
 import time
 import tracemalloc
@@ -271,6 +272,31 @@ def test_product_guards_read_the_factors_off_their_parameters():
     assert lines[2].startswith("table would have at least 2^1999999999 classes")
 
 
+def test_build_table_checks_a_single_family_once(monkeypatch):
+    # the generator checks its own family; build_table does not check it again
+    calls, real = [], chartab.tables.count_past
+
+    def counting(b, count, limit):
+        calls.append(b)
+        return real(b, count, limit)
+
+    monkeypatch.setattr(chartab.tables, "count_past", counting)
+    build_table(Dihedral(5))
+    assert calls == [log2_floor(Dihedral(5))]
+
+
+def test_build_table_refuses_a_product_before_any_factor(monkeypatch):
+    # each dihedral(1) factor has 4 classes, within the guard; the product's 16 are not
+    def refuse(n):
+        raise AssertionError(f"built the factor dihedral({n})")
+
+    family = chartab.tables.FAMILIES[Dihedral]
+    monkeypatch.setitem(chartab.tables.FAMILIES, Dihedral, dataclasses.replace(family, generate=refuse))
+    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "10")
+    with pytest.raises(TableTooLargeError, match=r"^table would have 16 classes, above the guard 10"):
+        build_table(Product((Dihedral(1), Dihedral(1))))
+
+
 def test_class_guard_names_a_huge_count_by_its_size():
     # 2^19999 + 3 classes: its 6021 decimal digits are past Python's
     # int-to-string limit, so the guard must not print them
@@ -462,6 +488,15 @@ def test_validate_catches_misplaced_identity():
     report = validate_table(perturbed(t, classes=classes))
     assert not report.ok
     assert "identity" in report.failure
+
+
+def test_validate_reports_a_table_with_no_classes():
+    empty = CharacterTable("empty", 1, (), (), (), ())
+    read = CharacterTable.from_json({"group": "empty", "order": 1, "classes": [], "characters": []})
+    for t in (empty, read):
+        assert validate_table(t) == chartab.tables.ValidationReport(
+            False, "first class is not the identity class"
+        )
 
 
 def test_validate_catches_zero_class_size():

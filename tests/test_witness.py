@@ -266,13 +266,39 @@ def test_verify_group_scope_table():
 
 
 def test_verify_skips_oversized_cells():
-    # one factor of 16385 classes passes the class guard but not the cell guard
+    # one factor of 16385 classes: its 16385^2 cells are past 8 * 10^6,
+    # and the skip names the class count
     w = witness_global(StatKind.Z_ELEM, 0, Fraction(1, 10**4))
     assert w.factors[0].family == Extraspecial2(7)
     report = verify_witness(w)
     assert report.table_value is None
-    assert "cells" in report.table_skipped
+    assert report.table_skipped == "explicit table skipped: 16385 classes exceed the guard 2828"
     assert report.replay_value == w.value
+
+
+@pytest.mark.parametrize("classes", [2828, 2829, 10**5, 10**5 + 1])
+def test_verify_counts_the_explicit_table_up_to_2828_classes(classes, monkeypatch):
+    # 2828^2 <= 8 * 10^6 < 2829^2: one class limit makes the decision the
+    # cell limit made, and every skip names the class count
+    w = witness_theta_character(Fraction(1, 2), TENTH)
+    assert [f.power for f in w.factors] == [1]
+    counted, real = [], witness._factor_counts
+
+    def factor_counts(family, character):
+        counted.append(family)
+        return real(family, character)
+
+    monkeypatch.setattr(witness, "spec_class_count", lambda spec: classes)
+    monkeypatch.setattr(witness, "_factor_counts", factor_counts)
+    report = verify_witness(w)
+    if classes <= 2828:
+        assert report == VerificationReport(w.value, w.value, None)
+        assert counted == [w.factors[0].family]
+    else:
+        assert report == VerificationReport(
+            w.value, None, f"explicit table skipped: {classes} classes exceed the guard 2828"
+        )
+        assert counted == []
 
 
 def test_verify_skips_oversized_class_products():
@@ -303,7 +329,7 @@ def test_verify_names_a_huge_class_count_by_its_size(kind, scope, target, bits, 
     monkeypatch.setattr(witness, "spec_class_count", refuse)
     report = verify_witness(w)
     assert report.table_skipped == (
-        f"explicit table skipped: at least 2^{bits} classes exceed the guard 100000"
+        f"explicit table skipped: at least 2^{bits} classes exceed the guard 2828"
     )
     assert report.replay_value == w.value
 
@@ -398,14 +424,14 @@ def test_verify_never_builds_the_product_table(monkeypatch):
 
     monkeypatch.setattr(tables, "product_table", refuse)
     for w, value in zip(products, want):
-        assert verify_witness(w) == VerificationReport(w.value, w.value, value, None)
+        assert verify_witness(w) == VerificationReport(w.value, value, None)
     # criterion 7's grid: a table-checked report carries the witness value
-    # three times, or verification would have raised
+    # twice, or verification would have raised
     checked = 0
     for w in _full_grid():
         report = verify_witness(w)
         if report.table_skipped is None:
-            assert report == VerificationReport(w.value, w.value, w.value, None)
+            assert report == VerificationReport(w.value, w.value, None)
             checked += 1
     assert checked == 12
 
