@@ -64,15 +64,13 @@ from chartab.tables import (
     InvalidParameterError,
     Product,
     count_past,
-    env_limit,
     log2_floor,
     single_family,
     spec_group_order,
     validate_table,
 )
 
-DEFAULT_GROUP_LIMIT = 2 * 10**5
-GROUP_LIMIT_ENV = "CHARTAB_ORACLE_LIMIT"
+GROUP_LIMIT = 2 * 10**5
 
 Perm = tuple[int, ...]
 
@@ -82,13 +80,7 @@ class OracleInconsistencyError(ChartabError):
 
 
 class GroupTooLargeError(ChartabError):
-    """Group closure exceeded the element limit."""
-
-    def __init__(self, limit: int) -> None:
-        super().__init__(
-            f"group has more than {limit} elements; raise "
-            f"{GROUP_LIMIT_ENV} to enumerate it anyway"
-        )
+    """A group past the element limit: a family by its order, any group by its closure."""
 
 
 @dataclass(frozen=True)
@@ -193,13 +185,14 @@ def check_group_limit(spec: FamilySpec) -> None:
     """Refuse a family whose order is above the element limit, before any
     permutation realization of it is built; `count_past` decides, so an
     order the parameters put at 2^60 or more is never built."""
-    limit = env_limit(GROUP_LIMIT_ENV, DEFAULT_GROUP_LIMIT)
-    if count_past(log2_floor(spec, order=True), lambda: spec_group_order(spec), limit):
-        raise GroupTooLargeError(limit)
+    b = log2_floor(spec, order=True)
+    if named := count_past(b, lambda: spec_group_order(spec), GROUP_LIMIT):
+        raise GroupTooLargeError(
+            f"group would have {named} elements, above the guard {GROUP_LIMIT}"
+        )
 
 
 def _enumerate_elements(group: PermGroup) -> set[Perm]:
-    limit = env_limit(GROUP_LIMIT_ENV, DEFAULT_GROUP_LIMIT)
     identity = tuple(range(group.degree))
     seen = {identity}
     frontier = [identity]
@@ -209,9 +202,9 @@ def _enumerate_elements(group: PermGroup) -> set[Perm]:
             for g in group.generators:
                 y = _mul(x, g)
                 if y not in seen:
-                    if len(seen) >= limit:
-                        raise GroupTooLargeError(limit)
                     seen.add(y)
+                    if count_past(0, seen.__len__, GROUP_LIMIT):
+                        raise GroupTooLargeError(f"group has more than {GROUP_LIMIT} elements")
                     fresh.append(y)
         frontier = fresh
     return seen
@@ -224,8 +217,8 @@ def enumerate_and_classify(group: PermGroup) -> ClassData:
     lexicographically smallest member); the representative of each class
     is that smallest member, so the result is a pure function of the
     group, independent of generator order.  Orbits, not elements, are
-    sorted.  A group with more elements than ``CHARTAB_ORACLE_LIMIT``
-    (default 200000) raises `GroupTooLargeError` during enumeration.
+    sorted.  A group with more elements than `GROUP_LIMIT` (200000)
+    raises `GroupTooLargeError` during enumeration.
     """
     remaining = _enumerate_elements(group)
     group_order = len(remaining)

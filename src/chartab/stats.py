@@ -43,7 +43,7 @@ from operator import itemgetter
 
 from chartab.exactnum import Cyclotomic, Rational, ValueClass, classify_value
 from chartab.tables import (
-    DEFAULT_CLASS_LIMIT,
+    CLASS_LIMIT,
     CharacterTable,
     Dihedral,
     Extraspecial2,
@@ -53,7 +53,6 @@ from chartab.tables import (
     Psl2Even,
     TableTooLargeError,
     count_past,
-    env_limit,
     single_family,
 )
 
@@ -333,11 +332,11 @@ def _psl2_group_record(r: int) -> StatRecord:
     root of unity exactly when e has order 3 mod c, where the pair sums
     to -1.  Everything else is counting.
     """
-    limit = env_limit("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT)
     # floor(log2) of its q + 1 classes is r
-    if walks := count_past(r, lambda: 2**r + 1, limit):
+    if walks := count_past(r, lambda: 2**r + 1, CLASS_LIMIT):
         raise TableTooLargeError(
-            f"the group record of psl2even({r}) walks {walks} classes, above the guard {limit}"
+            f"the group record of psl2even({r}) walks {walks} classes, "
+            f"above the guard {CLASS_LIMIT}"
         )
     q = 2**r
     order = q**3 - q

@@ -41,7 +41,6 @@ its factors', so no count is built to be refused.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ from chartab.exactnum import (
     unit_generators,
 )
 
-DEFAULT_CLASS_LIMIT = 10**6
+CLASS_LIMIT = 10**6
 
 
 class InvalidParameterError(ChartabError):
@@ -607,21 +606,10 @@ def count_past(b: int, count, limit: int) -> str | None:
     return describe_count(n) if n > limit else None
 
 
-def env_limit(name: str, default: int) -> int:
-    """The positive decimal integer in environment variable ``name``, else ``default``."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
-        raise InvalidParameterError(f"{name} must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def _check_class_count(what: str, b: int, count) -> None:
-    limit = env_limit("CHARTAB_CLASS_LIMIT", DEFAULT_CLASS_LIMIT)
-    if named := count_past(b, count, limit):
+    if named := count_past(b, count, CLASS_LIMIT):
         raise TableTooLargeError(
-            f"{what} would have {named} classes, above the guard {limit}; "
+            f"{what} would have {named} classes, above the guard {CLASS_LIMIT}; "
             f"use closed-form statistics and recurrences for {what}s this size"
         )
 

@@ -28,8 +28,8 @@ exact Fraction is built once, for the accepted k.
 through `chartab.stats.compose`, and, when the expression is small enough,
 counting the explicit product table from its factor tables, as
 `chartab.stats.product_stats` does, without building it.  Each factor's
-counts are remembered per process (never its table), and the class guard
-is checked on every call, remembered or not.  Disagreement raises.
+counts are remembered per process (never its table).  Disagreement
+raises.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from chartab.tables import (
     FamilySpec,
     Psl2Even,
     build_table,
-    check_table_guard,
     count_past,
     log2_floor,
     spec_class_count,
@@ -553,7 +552,8 @@ def verify_witness(w: Witness) -> VerificationReport:
     so no multiplicativity is assumed, but the product table is never
     built.  Each factor's counts are remembered per process, keyed by
     family and character, so a long-lived process builds each factor table
-    once; the class guard of `build_table` is still checked on every call.
+    once.  A factor of at most `VERIFY_CLASS_LIMIT` classes is far below
+    the class guard, which its generator checks when it is built.
     Any disagreement with the stored value raises; path (b) reports which
     guard fired when skipped.
     """
@@ -590,7 +590,6 @@ def verify_witness(w: Witness) -> VerificationReport:
     else:
         counted = []
         for fct in w.factors:
-            check_table_guard(fct.family)  # on a remembered factor too
             counted += [_factor_counts(fct.family, fct.character)] * fct.power
         table_value = fold_counts(counted).get(kind)
         if table_value != w.value:

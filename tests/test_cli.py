@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import chartab
-from chartab import cli, oracle, stats, witness
+from chartab import cli, oracle, stats, tables, witness
 from chartab.cli import _build_parser, main
 from chartab.tables import CharacterTable, dihedral_table
 
@@ -488,39 +488,20 @@ def test_verify_checks_the_group_order_first(capsys, monkeypatch):
         raise AssertionError("permutation realization built past the oracle limit")
 
     monkeypatch.setattr(oracle, "_psl2_perm_group", refuse)
-    monkeypatch.delenv("CHARTAB_ORACLE_LIMIT", raising=False)
     code, out, err = run(capsys, "verify", "psl2even", "12")
     assert code == 1
     assert out == ""
-    assert err == "chartab: group has more than 200000 elements; raise " \
-        "CHARTAB_ORACLE_LIMIT to enumerate it anyway\n"
-
-
-@pytest.mark.parametrize("value", ["abc", "1e6", "-5", "0", ""])
-@pytest.mark.parametrize(
-    "variable, argv",
-    [
-        ("CHARTAB_CLASS_LIMIT", ["table", "dihedral", "2"]),
-        ("CHARTAB_ORACLE_LIMIT", ["verify", "dihedral", "1"]),
-    ],
-)
-def test_malformed_limit_is_refused(capsys, monkeypatch, variable, argv, value):
-    monkeypatch.setenv(variable, value)
-    code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert err == f"chartab: {variable} must be a positive integer, got {value!r}\n"
-    assert "Traceback" not in err
+    assert err == "chartab: group would have 68719472640 elements, above the guard 200000\n"
 
 
 def test_table_build_is_class_guarded(capsys, monkeypatch):
-    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "10")
-    code, out, err = run(capsys, "table", "dihedral", "5")
+    with monkeypatch.context() as lowered:
+        lowered.setattr(tables, "CLASS_LIMIT", 10)
+        code, out, err = run(capsys, "table", "dihedral", "5")
     assert code == 1
     assert out == ""
     assert "above the guard 10" in err
     # 2^25 + 3 classes: refused before anything is allocated
-    monkeypatch.delenv("CHARTAB_CLASS_LIMIT")
     code, out, err = run(capsys, "table", "dihedral", "26")
     assert code == 1
     assert out == ""
@@ -559,7 +540,8 @@ def test_class_guard_refuses_a_huge_parameter_fast(capsys):
          "table would have at least 2^999999999999 classes, above the guard"),
         (("stats", "extraspecial2", "100000000000"),
          "table would have at least 2^200000000000 classes, above the guard"),
-        (("verify", "psl2even", "100000000000"), "group has more than 200000 elements"),
+        (("verify", "psl2even", "100000000000"),
+         "group would have at least 2^299999999999 elements, above the guard 200000\n"),
         (("scan", "--stat", "zI", "--scope", "character",
           "--family-params", "dihedral:100000000000", "--kmax", "1"),
          "closed forms of dihedral(100000000000) would take integers of at least "
@@ -707,9 +689,7 @@ def test_verify_outputs_match_recorded_digests(capsys):
 BENCHMARK_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
-def test_benchmark_cli_jobs_match_their_recorded_digests(capsys, monkeypatch):
-    for variable in ("CHARTAB_CLASS_LIMIT", "CHARTAB_ORACLE_LIMIT"):
-        monkeypatch.delenv(variable, raising=False)  # the benchmark sets neither
+def test_benchmark_cli_jobs_match_their_recorded_digests(capsys):
     recorded = json.loads(BENCHMARK_DIGESTS.read_text())
     assert Counter(job.split()[1] for job in recorded) == {
         "scan": 18, "stats": 48, "table": 18, "verify": 20, "witness": 102,
@@ -774,8 +754,9 @@ def _fuzz_argv(rng):
 
 
 def test_seeded_fuzz_ends_every_command_in_one_line_or_usage(capsys, monkeypatch):
-    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "131")
-    monkeypatch.setenv("CHARTAB_ORACLE_LIMIT", "128")
+    monkeypatch.setattr(tables, "CLASS_LIMIT", 131)
+    monkeypatch.setattr(stats, "CLASS_LIMIT", 131)
+    monkeypatch.setattr(oracle, "GROUP_LIMIT", 128)
     rng = random.Random(20261018)
     codes = Counter()
     for _ in range(400):

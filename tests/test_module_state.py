@@ -3,7 +3,8 @@
 Every output is a pure function of its input and everything user-facing
 is shared across threads, so a memo belongs in an ``lru_cache`` (which is
 not a module-level container), never in a module-level dict, list or set
-that a command grows in place.
+that a command grows in place.  Nor does the environment reach an output:
+the size guards are module constants.
 """
 
 import json
@@ -59,3 +60,27 @@ def test_no_command_changes_module_state():
     report = json.loads(proc.stdout)
     assert report["codes"] == [0] * len(COMMANDS)
     assert report["changed"] == []
+
+
+# Each command is past a guard of 10 (classes for table and stats, group
+# elements for verify), so a variable that set a guard would make it exit 1.
+GUARDED_COMMANDS = [
+    ["table", "dihedral", "5"],
+    ["stats", "psl2even", "5"],
+    ["verify", "dihedral", "3"],
+]
+LIMIT_VARIABLES = {"CHARTAB_CLASS_LIMIT": "10", "CHARTAB_ORACLE_LIMIT": "10"}
+
+
+def test_the_environment_changes_no_output():
+    env = dict(os.environ, PYTHONPATH=str(Path(chartab.__file__).resolve().parents[1]))
+    for argv in GUARDED_COMMANDS:
+        plain, limited = (
+            subprocess.run(
+                [sys.executable, "-m", "chartab.cli", *argv],
+                capture_output=True, env=variables, timeout=120,
+            )
+            for variables in (env, dict(env, **LIMIT_VARIABLES))
+        )
+        assert plain.returncode == limited.returncode == 0, (argv, limited.stderr)
+        assert limited.stdout == plain.stdout, argv

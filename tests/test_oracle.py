@@ -105,18 +105,17 @@ def test_class_of_covers_the_group():
 
 
 def test_enumeration_limit(monkeypatch):
-    monkeypatch.setenv("CHARTAB_ORACLE_LIMIT", "10")
+    monkeypatch.setattr(oracle, "GROUP_LIMIT", 10)
     with pytest.raises(GroupTooLargeError) as err:
         enumerate_and_classify(A5)
-    assert "more than 10 elements" in str(err.value)
-    assert "CHARTAB_ORACLE_LIMIT" in str(err.value)
+    assert str(err.value) == "group has more than 10 elements"
 
 
 def test_enumeration_limit_env(monkeypatch):
-    monkeypatch.setenv("CHARTAB_ORACLE_LIMIT", "59")
+    monkeypatch.setattr(oracle, "GROUP_LIMIT", 59)
     with pytest.raises(GroupTooLargeError):
         enumerate_and_classify(A5)
-    monkeypatch.setenv("CHARTAB_ORACLE_LIMIT", "60")
+    monkeypatch.setattr(oracle, "GROUP_LIMIT", 60)
     assert enumerate_and_classify(A5).group_order == 60
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chartab import stats
+from chartab import stats, tables
 from chartab.stats import (
     StatKind,
     char_stats,
@@ -156,7 +156,8 @@ def test_closed_forms_refuse_a_group_order_past_the_bit_guard(monkeypatch, famil
 
 def test_psl2_group_record_refuses_past_the_class_guard_on_first_read(monkeypatch):
     table5 = psl2_even_table(5)  # built before the guard is lowered below its 33 classes
-    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "32")
+    monkeypatch.setattr(tables, "CLASS_LIMIT", 32)
+    monkeypatch.setattr(stats, "CLASS_LIMIT", 32)
     assert closed_form_stats(Psl2Even(4)).group == group_stats(psl2_even_table(4))
     cf = closed_form_stats(Psl2Even(5))  # 33 classes: the Steinberg record stays available
     assert cf.character == char_stats(table5, 1)

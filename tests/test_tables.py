@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 from validate_reference import reference_validate_table
 
+import chartab.oracle
 import chartab.stats
 import chartab.tables
 from chartab.exactnum import Cyclotomic, canonicalize, classify_value
@@ -196,7 +197,7 @@ def test_product_value_can_recombine_to_root_of_unity():
 
 
 def test_product_class_limit(monkeypatch):
-    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "100")
+    monkeypatch.setattr(chartab.tables, "CLASS_LIMIT", 100)
     a = extraspecial2_table(2)  # 17 classes
     with pytest.raises(TableTooLargeError) as exc:
         product_table(a, a)
@@ -204,11 +205,11 @@ def test_product_class_limit(monkeypatch):
 
 
 def test_product_class_limit_env(monkeypatch):
-    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "10")
+    monkeypatch.setattr(chartab.tables, "CLASS_LIMIT", 10)
     a = dihedral_table(2)
     with pytest.raises(TableTooLargeError):
         product_table(a, a)
-    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "25")
+    monkeypatch.setattr(chartab.tables, "CLASS_LIMIT", 25)
     assert product_table(a, a).num_classes == 25
 
 
@@ -218,11 +219,11 @@ def test_product_class_limit_env(monkeypatch):
     ids=repr,
 )
 def test_build_table_class_limit_covers_every_spec(spec, monkeypatch):
-    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "10")
+    monkeypatch.setattr(chartab.tables, "CLASS_LIMIT", 10)
     with pytest.raises(TableTooLargeError) as exc:
         build_table(spec)
     assert f"{spec_class_count(spec)} classes" in str(exc.value)
-    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", str(spec_class_count(spec)))
+    monkeypatch.setattr(chartab.tables, "CLASS_LIMIT", spec_class_count(spec))
     assert build_table(spec).num_classes == spec_class_count(spec)
 
 
@@ -234,8 +235,8 @@ def test_build_table_class_limit_covers_every_spec(spec, monkeypatch):
 )
 def test_public_builders_check_their_own_guard(generate, family, param, monkeypatch):
     spec = family(param)
-    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "10")
-    monkeypatch.setenv("CHARTAB_ORACLE_LIMIT", "10")
+    monkeypatch.setattr(chartab.tables, "CLASS_LIMIT", 10)
+    monkeypatch.setattr(chartab.oracle, "GROUP_LIMIT", 10)
     with pytest.raises(TableTooLargeError, match=rf"^table would have {spec_class_count(spec)} "):
         generate(param)
     for group in (spec, Product((Dihedral(1), spec))):
@@ -253,7 +254,7 @@ def test_public_builders_refuse_a_huge_parameter_up_front():
 def test_product_guards_read_the_factors_off_their_parameters():
     # a count of 2^(10^9 - 1) would take 125 MB to build; the sum of the
     # factors' floor(log2) refuses first, and a lone factor keeps its line
-    lines = []
+    lines, orders = [], []
     tracemalloc.start()
     try:
         for spec in (Dihedral(10**9), Product((Dihedral(10**9),)),
@@ -261,8 +262,9 @@ def test_product_guards_read_the_factors_off_their_parameters():
             with pytest.raises(TableTooLargeError) as exc:
                 build_table(spec)
             lines.append(str(exc.value))
-            with pytest.raises(GroupTooLargeError):
+            with pytest.raises(GroupTooLargeError) as exc:
                 builtin_perm_group(spec)
+            orders.append(str(exc.value))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -270,6 +272,8 @@ def test_product_guards_read_the_factors_off_their_parameters():
     assert lines[0] == lines[1]
     assert lines[1].startswith("table would have at least 2^999999999 classes")
     assert lines[2].startswith("table would have at least 2^1999999999 classes")
+    assert orders[0] == orders[1]
+    assert orders[1] == "group would have at least 2^1000000001 elements, above the guard 200000"
 
 
 def test_build_table_checks_a_single_family_once(monkeypatch):
@@ -292,7 +296,7 @@ def test_build_table_refuses_a_product_before_any_factor(monkeypatch):
 
     family = chartab.tables.FAMILIES[Dihedral]
     monkeypatch.setitem(chartab.tables.FAMILIES, Dihedral, dataclasses.replace(family, generate=refuse))
-    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", "10")
+    monkeypatch.setattr(chartab.tables, "CLASS_LIMIT", 10)
     with pytest.raises(TableTooLargeError, match=r"^table would have 16 classes, above the guard 10"):
         build_table(Product((Dihedral(1), Dihedral(1))))
 

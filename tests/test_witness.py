@@ -463,15 +463,6 @@ def test_verify_builds_a_shared_factor_once(monkeypatch):
     assert built == [Extraspecial2(4)]
 
 
-def test_verify_checks_the_class_guard_on_a_remembered_factor(monkeypatch):
-    w = _shared_factor_witnesses()[0]
-    witness._factor_counts.cache_clear()
-    assert verify_witness(w).table_skipped is None
-    monkeypatch.setenv("CHARTAB_CLASS_LIMIT", str(tables.spec_class_count(Extraspecial2(4)) - 1))
-    with pytest.raises(tables.TableTooLargeError):
-        verify_witness(w)
-
-
 # ---------------------------------------------------------------------------
 # the skip-ahead scan against the linear walk it replaced
 
