@@ -193,6 +193,14 @@ def check_group_limit(spec: FamilySpec) -> None:
 
 
 def _enumerate_elements(group: PermGroup) -> set[Perm]:
+    """The group's elements, by breadth-first search from the identity.
+
+    `count_past` decides the element guard once per layer, after the
+    layer is added, so a group of more than `GROUP_LIMIT` elements is
+    refused and no other is.  A layer starts from at most `GROUP_LIMIT`
+    elements and adds at most |generators| x `GROUP_LIMIT` more before its
+    check.
+    """
     identity = tuple(range(group.degree))
     seen = {identity}
     frontier = [identity]
@@ -203,9 +211,9 @@ def _enumerate_elements(group: PermGroup) -> set[Perm]:
                 y = _mul(x, g)
                 if y not in seen:
                     seen.add(y)
-                    if count_past(0, seen.__len__, GROUP_LIMIT):
-                        raise GroupTooLargeError(f"group has more than {GROUP_LIMIT} elements")
                     fresh.append(y)
+        if count_past(0, seen.__len__, GROUP_LIMIT):
+            raise GroupTooLargeError(f"group has more than {GROUP_LIMIT} elements")
         frontier = fresh
     return seen
 

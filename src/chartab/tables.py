@@ -46,7 +46,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import gcd, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from chartab.exactnum import (
     ChartabError,
@@ -405,7 +405,19 @@ def dihedral_table(n: int) -> CharacterTable:
     ``zeta = zeta_{2**n}``.
 
     ``n == 1`` is allowed and yields the elementary abelian group of order 4
-    (four singleton classes, four linear characters).
+    (four singleton classes, four linear characters, no planar ones);
+    ``n == 2`` has the single planar character ``rot1``.
+
+    The planar rows are gathers, one C call per row and none per cell.
+    Row ``h`` depends only on ``h`` up to sign mod ``2**n``, and row
+    ``m*h`` is row ``h`` read at the columns of the exponents ``+-m*k``:
+    its cell on class ``k`` is row ``h``'s cell on the class of ``m*k``.
+    So one `itemgetter` per multiplier, built once, turns row ``h`` into
+    row ``m*h``, reusing the palette indices row ``h`` holds.  Two
+    multipliers reach every row from ``rot1``: the units mod ``2**n`` are
+    ``+-5**j``, so the ``x5`` orbit of 1 runs over every odd ``h`` up to
+    sign, and every even ``h`` is twice a smaller ``h``, whose row is
+    built first.
     """
     check_table_guard(Dihedral(n))
     order = 2 ** (n + 1)
@@ -436,9 +448,24 @@ def dihedral_table(n: int) -> CharacterTable:
     # order builds the palette canonical (n >= 2).
     at = _cosine_pairs(rot, 1, palette, rot_exponents)
     zero = at[rot // 4]
-    for h in range(1, half):
-        names.append(f"rot{h}")
-        rows.append(tuple(at[h * k % rot] for k in rot_exponents) + (zero, zero))
+    column = {k: j for j, k in enumerate(rot_exponents)}
+
+    def times(m: int) -> itemgetter:
+        """Row ``h`` to row ``m*h``, reflection zeros included."""
+        at_columns = [column[min(m * k % rot, -m * k % rot)] for k in rot_exponents]
+        return itemgetter(*at_columns, half + 1, half + 2)
+
+    planar = {1: tuple(map(at.__getitem__, rot_exponents)) + (zero, zero)}
+    times5, times2 = times(5), times(2)
+    h = 1
+    for _ in range(1, half // 2):
+        row = times5(planar[h])
+        h = min(5 * h % rot, -5 * h % rot)
+        planar[h] = row
+    for h in range(2, half, 2):
+        planar[h] = times2(planar[h // 2])
+    names.extend(f"rot{h}" for h in range(1, half))
+    rows.extend(map(planar.__getitem__, range(1, half)))
 
     return CharacterTable(
         group_name=f"dihedral({n})",

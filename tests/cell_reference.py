@@ -1,9 +1,11 @@
 """The per-cell Python loops, kept as the reference for the C-builtin passes.
 
-Verbatim copies of three passes as they stood before they moved into
+Verbatim copies of four passes as they stood before they moved into
 C builtins (`Counter`, `itemgetter`, tuple concatenation, a JSON encoder
 run once per palette entry):
 
+* `reference_dihedral_table`: `chartab.tables.dihedral_table`, one
+  ``at[h * k % rot]`` lookup per planar cell;
 * `reference_extraspecial2_table`: `chartab.tables.extraspecial2_table`,
   one `bin(w & v).count("1")` per cell;
 * `reference_histogram`: `chartab.stats._histogram`, two list updates per
@@ -20,8 +22,75 @@ from __future__ import annotations
 
 import json
 
+from math import gcd
+
 from chartab.exactnum import Cyclotomic
-from chartab.tables import CharacterTable, ClassInfo, _check_positive
+from chartab.tables import (
+    CharacterTable,
+    ClassInfo,
+    Dihedral,
+    _check_positive,
+    _cosine_pairs,
+    check_table_guard,
+)
+
+
+def reference_dihedral_table(n: int) -> CharacterTable:
+    """Dihedral group of order ``2**(n+1)``: rotations of order ``2**n`` plus
+    reflections.
+
+    Classes, in order: identity; the central rotation half-turn; the rotation
+    pairs ``k = 1 .. 2**(n-1)-1`` (size 2); the two reflection classes (size
+    ``2**(n-1)`` each).  Characters: four linear ones cut out by the parity
+    of the rotation exponent and the rotation/reflection split, then the
+    planar characters ``rot1 .. rot{2**(n-1)-1}`` of degree 2 whose value on
+    the rotation class ``k`` is ``zeta**(h*k) + zeta**(-h*k)`` for
+    ``zeta = zeta_{2**n}``.
+
+    ``n == 1`` is allowed and yields the elementary abelian group of order 4
+    (four singleton classes, four linear characters).
+    """
+    check_table_guard(Dihedral(n))
+    order = 2 ** (n + 1)
+    rot = 2**n  # order of the rotation subgroup
+    half = 2 ** (n - 1)
+    classes = [ClassInfo("1", 1, 1), ClassInfo("t" if n == 1 else f"t^{half}", 1, 2)]
+    for k in range(1, half):
+        classes.append(ClassInfo(f"t^{k}", 2, rot // gcd(rot, k)))
+    classes.append(ClassInfo("s", half, 2))
+    classes.append(ClassInfo("st", half, 2))
+
+    # exponents of the rotation representative in class order
+    rot_exponents = [0, half] + list(range(1, half))
+    ONE, NEG = 0, 1
+    palette = [Cyclotomic.one(), Cyclotomic.from_rational(-1)]
+
+    def linear(rot_sign: int, refl_sign: int) -> tuple[int, ...]:
+        row = [ONE if rot_sign**k == 1 else NEG for k in rot_exponents]
+        row.append(ONE if refl_sign == 1 else NEG)
+        row.append(ONE if refl_sign * rot_sign == 1 else NEG)
+        return tuple(row)
+
+    names = ["trivial", "sign_refl", "sign_rot", "sign_both"]
+    rows = [linear(1, 1), linear(1, -1), linear(-1, 1), linear(-1, -1)]
+
+    # e = rot / 4 gives the zero the reflection classes carry.  Row rot1
+    # meets the cosines first, in class order, so listing them in that
+    # order builds the palette canonical (n >= 2).
+    at = _cosine_pairs(rot, 1, palette, rot_exponents)
+    zero = at[rot // 4]
+    for h in range(1, half):
+        names.append(f"rot{h}")
+        rows.append(tuple(at[h * k % rot] for k in rot_exponents) + (zero, zero))
+
+    return CharacterTable(
+        group_name=f"dihedral({n})",
+        group_order=order,
+        classes=tuple(classes),
+        character_names=tuple(names),
+        palette=tuple(palette),
+        rows=tuple(rows),
+    )
 
 
 def reference_extraspecial2_table(n: int) -> CharacterTable:

@@ -6,8 +6,11 @@ into C builtins; every fast pass must give the very same result.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from cell_reference import (
+    reference_dihedral_table,
     reference_extraspecial2_table,
     reference_histogram,
     reference_table_json,
@@ -25,9 +28,39 @@ from chartab.tables import (
     Product,
     Psl2Even,
     build_table,
+    dihedral_table,
     extraspecial2_table,
     trivial_table,
 )
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_dihedral_rows_match_the_reference(n):
+    fast = dihedral_table(n)
+    slow = reference_dihedral_table(n)
+    assert fast.rows == slow.rows
+    assert [v.key() for v in fast.palette] == [v.key() for v in slow.palette]
+    assert fast.classes == slow.classes
+    assert fast.character_names == slow.character_names
+    assert fast == slow
+
+
+def test_dihedral_rows_take_no_python_step_per_cell():
+    dihedral_table(9)  # warm the caches
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        t = dihedral_table(9)
+    finally:
+        sys.setprofile(outer)
+    # the per-cell loop made one call per planar cell (over 60,000 here)
+    assert calls < 20 * t.num_classes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -7,7 +7,7 @@ import pytest
 from compare_reference import reference_compare_tables
 from oracle_reference import reference_character_table, reference_eigenvalues
 
-from chartab import oracle
+from chartab import oracle, tables
 from chartab.exactnum import factorize
 from chartab.oracle import (
     GroupTooLargeError,
@@ -117,6 +117,19 @@ def test_enumeration_limit_env(monkeypatch):
         enumerate_and_classify(A5)
     monkeypatch.setattr(oracle, "GROUP_LIMIT", 60)
     assert enumerate_and_classify(A5).group_order == 60
+
+
+def test_enumeration_decides_the_guard_once_per_layer(monkeypatch):
+    counts = []
+
+    def count_past(b, count, limit):
+        counts.append(count())
+        return tables.count_past(b, count, limit)
+
+    monkeypatch.setattr(oracle, "count_past", count_past)
+    assert enumerate_and_classify(A5).group_order == 60
+    # the elements seen after each breadth-first layer, the last one empty
+    assert counts == [3, 7, 14, 26, 40, 51, 57, 60, 60]
 
 
 # ---------------------------------------------------------------------------
