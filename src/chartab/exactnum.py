@@ -1,8 +1,8 @@
 """Exact arithmetic in cyclotomic fields.
 
-A value of ``Q(zeta_n)`` is stored against a fixed conductor ``n`` as a
-sparse collection of power-basis coordinates: exponent ``e`` maps to a
-rational coefficient of ``zeta_n**e``, with every exponent strictly below
+A value of ``Z[zeta_n]`` is stored against a fixed conductor ``n`` as a
+sparse collection of power-basis coordinates: exponent ``e`` maps to an
+integer coefficient of ``zeta_n**e``, with every exponent strictly below
 ``phi(n)``.  Inputs with larger (or negative) exponents are first folded
 modulo ``n`` and then rewritten modulo the n-th cyclotomic polynomial, so
 each field element has exactly one stored form per conductor.  Conductors
@@ -22,9 +22,10 @@ remainder costs more on every call:
 the table (in-process, six runs each, on a 2-core VM).
 
 Arithmetic is exposed through the usual operators (``+``, ``-``, ``*``,
-unary ``-``) plus ``conjugate()``; there is no division.  All coefficients
-are ``fractions.Fraction`` (plain ``int`` is kept where the value is
-integral, which is the common case for character values).
+unary ``-``) plus ``conjugate()``; there is no division.  Values are
+cyclotomic integers (character values are), so every coefficient is an
+``int``: every constructor goes through ``canonicalize``, which decides
+integrality once, and ring operations on ints stay ints.
 
 The residues at a split prime p = 1 mod N (``prime_1_mod``,
 ``root_of_unity``, ``unit_generators``, ``residues``) map the algebraic
@@ -39,14 +40,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 Rational = Fraction
-
-# Coefficients are int | Fraction; ints are kept un-promoted because the
-# hot paths (character values, orthogonality sums) are integral and int
-# arithmetic is markedly cheaper than Fraction arithmetic.
-Coeff = int | Fraction
 
 
 class ChartabError(ValueError):
@@ -58,7 +54,7 @@ class InvalidConductorError(ChartabError):
 
 
 class NotAlgebraicIntegerError(ChartabError):
-    """Raised when an operation requires integer power-basis coordinates."""
+    """Raised when a value is built with a non-integer power-basis coordinate."""
 
 
 class ValueClass(Enum):
@@ -152,16 +148,10 @@ def _reduced_roots(n: int) -> frozenset:
     return frozenset(_reduction_rows(n))
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 def _build(n: int, raw) -> "Cyclotomic":
     """Fold exponents mod n, rewrite mod Phi_n, drop zeros, sort."""
     phi = totient(n)
-    acc: dict[int, Coeff] = {}
+    acc: dict[int, int] = {}
     items = raw.items() if isinstance(raw, dict) else raw
     for e, c in items:
         if not c:
@@ -172,15 +162,17 @@ def _build(n: int, raw) -> "Cyclotomic":
         else:
             for e2, m in _reduction_rows(n)[e - phi]:
                 acc[e2] = acc.get(e2, 0) + c * m
-    coeffs = tuple(sorted((e, _norm_coeff(c)) for e, c in acc.items() if c))
+    coeffs = tuple(sorted((e, c) for e, c in acc.items() if c))
     return Cyclotomic(n, coeffs)
 
 
 def canonicalize(conductor: int, coeffs) -> "Cyclotomic":
-    """Build a value of Q(zeta_conductor) from any exponent -> rational map.
+    """Build a value of Z[zeta_conductor] from any exponent -> integer map.
 
     Exponents may be arbitrary integers (they are taken modulo the
-    conductor); the result is in reduced power-basis form.
+    conductor); the result is in reduced power-basis form.  This is the
+    one place integrality is decided: an integral ``Fraction`` is stored
+    as an ``int``, and any other raises `NotAlgebraicIntegerError`.
     """
     if not isinstance(conductor, int) or conductor < 1:
         raise InvalidConductorError(
@@ -188,16 +180,17 @@ def canonicalize(conductor: int, coeffs) -> "Cyclotomic":
         )
     checked = {}
     for e, c in dict(coeffs).items():
-        if isinstance(c, int) or isinstance(c, Fraction):
-            checked[int(e)] = c
-        else:
-            raise TypeError(f"coefficient for exponent {e} must be rational, got {c!r}")
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficient for exponent {e} must be an integer, got {c!r}")
+        if c.denominator != 1:
+            raise NotAlgebraicIntegerError(f"coefficient {c} of zeta^{e} is not an integer")
+        checked[int(e)] = int(c)
     return _build(conductor, checked)
 
 
 @dataclass(frozen=True, eq=False)
 class Cyclotomic:
-    """An element of Q(zeta_conductor) in reduced power-basis form.
+    """A cyclotomic integer of Z[zeta_conductor] in reduced power-basis form.
 
     Instances are immutable.  Equality is semantic: values with different
     conductors compare equal exactly when they agree after embedding into
@@ -207,17 +200,17 @@ class Cyclotomic:
     """
 
     conductor: int
-    coeffs: tuple[tuple[int, Coeff], ...]
+    coeffs: tuple[tuple[int, int], ...]
 
     # -- basic constructors -------------------------------------------------
 
     @staticmethod
-    def zero(conductor: int = 1) -> "Cyclotomic":
-        return canonicalize(conductor, {})
+    def zero() -> "Cyclotomic":
+        return canonicalize(1, {})
 
     @staticmethod
-    def one(conductor: int = 1) -> "Cyclotomic":
-        return canonicalize(conductor, {0: 1})
+    def one() -> "Cyclotomic":
+        return canonicalize(1, {0: 1})
 
     @staticmethod
     def zeta(conductor: int, exponent: int = 1) -> "Cyclotomic":
@@ -225,8 +218,9 @@ class Cyclotomic:
         return canonicalize(conductor, {exponent: 1})
 
     @staticmethod
-    def from_rational(value, conductor: int = 1) -> "Cyclotomic":
-        return canonicalize(conductor, {0: Fraction(value)})
+    def from_rational(value) -> "Cyclotomic":
+        """The integer ``value``; a non-integer raises `NotAlgebraicIntegerError`."""
+        return canonicalize(1, {0: Fraction(value)})
 
     # -- structure ----------------------------------------------------------
 
@@ -248,14 +242,6 @@ class Cyclotomic:
         if self.is_rational:
             return Fraction(self.coeffs[0][1])
         raise ValueError(f"{self} is not rational")
-
-    def is_algebraic_integer(self) -> bool:
-        """True when every power-basis coordinate is an integer.
-
-        The power basis is an integral basis for the ring of integers of a
-        cyclotomic field, so this is the exact membership test.
-        """
-        return all(isinstance(c, int) or c.denominator == 1 for _, c in self.coeffs)
 
     # -- conductor handling ---------------------------------------------------
 
@@ -320,7 +306,7 @@ class Cyclotomic:
             return NotImplemented
         a, b = self._aligned(self, o)
         n = a.conductor
-        raw: dict[int, Coeff] = {}
+        raw: dict[int, int] = {}
         for e1, c1 in a.coeffs:
             for e2, c2 in b.coeffs:
                 e = e1 + e2
@@ -380,7 +366,7 @@ class Cyclotomic:
     def to_json(self) -> dict:
         return {
             "conductor": self.conductor,
-            "coeffs": [[e, str(Fraction(c))] for e, c in self.coeffs],
+            "coeffs": [[e, str(c)] for e, c in self.coeffs],
         }
 
     @staticmethod
@@ -413,13 +399,6 @@ class Cyclotomic:
         return f"Cyclotomic({self.conductor}, {self})"
 
 
-def _require_integral(a: Cyclotomic) -> None:
-    if not a.is_algebraic_integer():
-        raise NotAlgebraicIntegerError(
-            f"{a} has non-integer power-basis coordinates"
-        )
-
-
 def m_invariant(a: Cyclotomic) -> Fraction:
     """Mean squared modulus of a cyclotomic integer over its Galois orbit.
 
@@ -429,9 +408,8 @@ def m_invariant(a: Cyclotomic) -> Fraction:
     cyclotomic integer the invariant is at least 1, with equality exactly
     on roots of unity.
     """
-    _require_integral(a)
     n = a.conductor
-    total: dict[int, Coeff] = {}
+    total: dict[int, int] = {}
     count = 0
     for j in range(1, n + 1):
         if gcd(j, n) != 1:
@@ -457,7 +435,6 @@ def classify_value(a: Cyclotomic) -> ValueClass:
     e < phi(n) or a row of `_reduction_rows`.  That is a lookup with no
     multiplication (``m_invariant`` equals 1 on the same values).
     """
-    _require_integral(a)
     coeffs = a.coeffs
     if not coeffs:
         return ValueClass.ZERO
@@ -479,15 +456,16 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: Miller-Rabin on the first 13 prime bases below
-    3.3·10^24, where it is deterministic, and trial division above."""
+    """Exact primality for n below 3.3·10^24 (`_MR_EXACT_BELOW`), by
+    Miller-Rabin on the first 13 prime bases, which is deterministic there.
+    A larger n raises ValueError: no exact test past the range is cheap."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is past the exact primality range, {_MR_EXACT_BELOW}")
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n >= _MR_EXACT_BELOW:
-        return all(n % d for d in range(43, isqrt(n) + 1, 2))
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
     d = (n - 1) >> s
     for a in _MR_BASES:
@@ -504,7 +482,8 @@ def is_prime(n: int) -> bool:
 
 
 def prime_1_mod(n: int, bound: int) -> int:
-    """The least prime p = 1 mod n with p > bound."""
+    """The least prime p = 1 mod n with p > bound; ValueError where the
+    search passes `is_prime`'s range."""
     p = bound + 1 + (-bound) % n
     while not is_prime(p):
         p += n
@@ -564,7 +543,6 @@ def residues(values, p: int, omega: int, n: int) -> list[int]:
     powers: dict[int, list[int]] = {}
     out = []
     for v in values:
-        _require_integral(v)
         m = v.conductor
         pw = powers.get(m)
         if pw is None:

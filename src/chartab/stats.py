@@ -53,7 +53,9 @@ from chartab.tables import (
     Psl2Even,
     TableTooLargeError,
     count_past,
+    log2_floor,
     single_family,
+    spec_class_count,
 )
 
 K_MAX_LIMIT = 10**6
@@ -332,8 +334,8 @@ def _psl2_group_record(r: int) -> StatRecord:
     root of unity exactly when e has order 3 mod c, where the pair sums
     to -1.  Everything else is counting.
     """
-    # floor(log2) of its q + 1 classes is r
-    if walks := count_past(r, lambda: 2**r + 1, CLASS_LIMIT):
+    spec = Psl2Even(r)
+    if walks := count_past(log2_floor(spec), lambda: spec_class_count(spec), CLASS_LIMIT):
         raise TableTooLargeError(
             f"the group record of psl2even({r}) walks {walks} classes, "
             f"above the guard {CLASS_LIMIT}"

@@ -150,7 +150,7 @@ class CharacterTable:
         for row in self.rows:
             v = self.palette[row[0]]
             d = v.as_rational() if v.is_rational else 0  # 0: refused just below
-            if d.denominator != 1 or d <= 0:
+            if d <= 0:
                 raise MalformedTableError(f"identity value {v} is not a positive integer")
             out.append(int(d))
         return tuple(out)
@@ -704,8 +704,9 @@ def validate_table(t: CharacterTable) -> ValidationReport:
 
     Verifies, in this order, stopping at the first violation: shape; the
     class equation; class sizes positive and dividing the order; identity
-    column degrees; the degree equation; entry integrality; row
-    orthogonality (all pairs, including the norm).  All checks are exact.
+    column degrees; the degree equation; row orthogonality (all pairs,
+    including the norm).  All checks are exact.  Entries are integral by
+    construction: a `Cyclotomic` holds a cyclotomic integer.
 
     Column orthogonality needs no pass: with X the square value matrix and
     D the diagonal of class sizes, X·D·X* = |G|·I means D·X*/|G| is the
@@ -756,23 +757,17 @@ def validate_table(t: CharacterTable) -> ValidationReport:
             f"order is {t.group_order}"
         )
 
-    palette = t.palette
-    integral = [v.is_algebraic_integer() for v in palette]
-    for name, row in zip(t.character_names, rows):
-        for c, i in zip(t.classes, row):
-            if not integral[i]:
-                return fail(f"entry ({name}, {c.name}) is not an algebraic integer")
-
     if _row_orthogonality_proved(t):
         return ValidationReport(True)
 
+    palette = t.palette
     conj = [v.conjugate() for v in palette]
     products: dict[tuple[int, int], Cyclotomic] = {}
     sizes = [c.size for c in t.classes]
     names = t.character_names
     for i, ri in enumerate(rows):
         for j in range(i, len(rows)):
-            sums: dict[int, dict[int, object]] = {}
+            sums: dict[int, dict[int, int]] = {}
             for (x, y, s), count in Counter(zip(ri, rows[j], sizes)).items():
                 p = products.get((x, y))
                 if p is None:
@@ -797,9 +792,9 @@ def _row_orthogonality_proved(t: CharacterTable) -> bool:
     split prime; False leaves the decision to the exact pass.
 
     It assumes what `validate_table` checks before it: the table is
-    square, its class sizes are positive and sum to |G|, and every entry
-    is an algebraic integer.  Let N be the lcm of the palette's conductors
-    and, for rows i and j,
+    square and its class sizes are positive and sum to |G|; every entry
+    is an algebraic integer, as every `Cyclotomic` is by construction.
+    Let N be the lcm of the palette's conductors and, for rows i and j,
 
         a_ij = sum over classes k of s_k * x_ik * conj(x_jk) - |G| * [i = j],
 
@@ -814,7 +809,9 @@ def _row_orthogonality_proved(t: CharacterTable) -> bool:
     2. A bound.  With M the largest sum of |coefficients| over the
        palette, every embedding sends a palette value to at most M in
        absolute value, so every conjugate of a_ij is at most
-       B = |G| * (M^2 + 1).  Take the least prime p = 1 mod N above B.
+       B = |G| * (M^2 + 1).  Take the least prime p = 1 mod N above B;
+       past `is_prime`'s exact range there is none to take, and the
+       exact pass decides.
     3. Residues.  zeta_N -> omega, a primitive N-th root of unity mod p,
        is a ring map Z[zeta_N] -> F_p whose kernel P is a prime above p.
        Every a_ij, over all ordered pairs, maps to 0.
@@ -845,7 +842,10 @@ def _row_orthogonality_proved(t: CharacterTable) -> bool:
             return False
 
     m = max(sum(abs(c) for _, c in v.coeffs) for v in palette)
-    p = prime_1_mod(n, t.group_order * (m * m + 1))
+    try:
+        p = prime_1_mod(n, t.group_order * (m * m + 1))
+    except ValueError:  # past is_prime's exact range
+        return False
     omega = root_of_unity(n, p)
     value = residues(palette, p, omega, n)
     r = len(rows)

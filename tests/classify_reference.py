@@ -10,7 +10,7 @@ very same error.
 
 from __future__ import annotations
 
-from chartab.exactnum import Cyclotomic, ValueClass, _require_integral
+from chartab.exactnum import Cyclotomic, ValueClass
 
 
 def reference_classify_value(a: Cyclotomic) -> ValueClass:
@@ -21,7 +21,6 @@ def reference_classify_value(a: Cyclotomic) -> ValueClass:
     suite checks the two routes agree).  The squared-modulus form is used
     here because it costs a single multiplication.
     """
-    _require_integral(a)
     if a.is_zero:
         return ValueClass.ZERO
     sq = a.abs_squared()

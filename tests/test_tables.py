@@ -1,10 +1,14 @@
 """Character-table builders: frozen small tables, counting lemmas, validation."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from validate_reference import reference_validate_table
@@ -12,7 +16,7 @@ from validate_reference import reference_validate_table
 import chartab.oracle
 import chartab.stats
 import chartab.tables
-from chartab.exactnum import Cyclotomic, canonicalize, classify_value
+from chartab.exactnum import Cyclotomic, NotAlgebraicIntegerError, canonicalize, classify_value
 from chartab.oracle import GroupTooLargeError, builtin_perm_group, dixon_character_table
 from chartab.stats import char_stats, group_stats
 from chartab.tables import (
@@ -476,14 +480,20 @@ def test_validate_catches_broken_orthogonality():
 
 
 def test_validate_catches_non_integral_entry():
-    t = dihedral_table(2)
-    rows = list(t.characters)
-    last = list(rows[-1])
-    last[t.class_index("s")] = Cyclotomic.from_rational("1/2")
-    rows[-1] = tuple(last)
-    report = validate_table(perturbed(t, characters=tuple(rows)))
-    assert not report.ok
-    assert "algebraic integer" in report.failure
+    # no table can hold a non-integral entry: reading one in is refused
+    doc = dihedral_table(2).to_json()
+    doc["characters"][-1]["values"][3] = {"conductor": 1, "coeffs": [[0, "1/2"]]}
+    with pytest.raises(NotAlgebraicIntegerError):
+        CharacterTable.from_json(doc)
+
+
+def test_every_stored_coefficient_is_an_int():
+    specs = [*(Dihedral(n) for n in range(1, 9)), *(Extraspecial2(n) for n in range(1, 5)),
+             *(Psl2Even(r) for r in range(1, 7)), Product((Dihedral(2), Psl2Even(2)))]
+    tables = [build_table(spec) for spec in specs]
+    tables.append(dixon_character_table(builtin_perm_group(Psl2Even(2))))
+    for t in tables:
+        assert all(type(c) is int for v in t.palette for _, c in v.coeffs), t.group_name
 
 
 def test_validate_catches_misplaced_identity():
@@ -647,6 +657,37 @@ def test_rows_that_are_not_galois_stable_take_the_exact_path():
         report = validate_table(table)
         assert report.ok is ok
         assert report == reference_validate_table(table)
+
+
+# An 85-class rational table of order 2^84: classes of sizes 2^0 .. 2^83
+# after the identity; degrees three each of 2^15 .. 2^41 and four of 2^14;
+# row i holds its degree and 1 on class i.  |G| (M^2 + 1) is about 2^166.
+HUGE_ORDER_TABLE = """
+from chartab.exactnum import Cyclotomic
+from chartab.tables import CharacterTable, ClassInfo, validate_table
+degrees = [2**k for k in range(15, 42) for _ in range(3)] + [2**14] * 4
+classes = (ClassInfo("1", 1, 1), *(ClassInfo(f"c{i}", 2**i, 2) for i in range(84)))
+rows = [[d] + [int(j == i) for j in range(1, 85)] for i, d in enumerate(degrees)]
+t = CharacterTable.from_values(
+    "crafted", 2**84, classes, tuple(f"x{i}" for i in range(85)),
+    [list(map(Cyclotomic.from_rational, row)) for row in rows],
+)
+print(validate_table(t).failure)
+"""
+
+
+def test_a_bound_past_the_prime_range_takes_the_exact_path():
+    # no split prime above the bound can be proved prime, so the proof
+    # declines at once and the exact pass names the first failing pair; a
+    # child process, so a search that stalls fails the test
+    env = dict(os.environ, PYTHONPATH=str(Path(chartab.tables.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", HUGE_ORDER_TABLE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.stderr == ""
+    assert out.stdout == (
+        "row orthogonality (x0, x0): got 1073741824, expected 19342813113834066795298816\n"
+    )
 
 
 @pytest.mark.parametrize("spec, seconds", [(Dihedral(9), 4), (Psl2Even(7), 0.3)], ids=repr)

@@ -22,8 +22,8 @@ def reference_validate_table(t: CharacterTable) -> ValidationReport:
     """Check the exact defining relations of a character table.
 
     Verifies, in this order, stopping at the first violation: shape; the
-    class equation; identity-column degrees; the degree equation; entry
-    integrality; row orthogonality (all pairs, including the norm); column
+    class equation; identity-column degrees; the degree equation; row
+    orthogonality (all pairs, including the norm); column
     orthogonality.  All checks are exact; nothing is approximated.
     """
 
@@ -61,11 +61,6 @@ def reference_validate_table(t: CharacterTable) -> ValidationReport:
         )
 
     palette = t.palette
-    integral = [v.is_algebraic_integer() for v in palette]
-    for name, row in zip(t.character_names, rows):
-        for c, i in zip(t.classes, row):
-            if not integral[i]:
-                return fail(f"entry ({name}, {c.name}) is not an algebraic integer")
 
     # Each inner product is accumulated as a raw power-basis coefficient map
     # in the joint conductor: one canonicalize per inner product instead of
