@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from chartab.exactnum import Cyclotomic, Rational, ValueClass, classify_value
 from chartab.tables import (
@@ -143,20 +143,16 @@ def _histogram(t: CharacterTable, rows) -> list[tuple[Cyclotomic, int, int]]:
     """(value, cells, class-size sum) per palette entry the rows use, in
     palette order.
 
-    The class columns are grouped by class size (each family has two to
-    four sizes), and each group's cells are counted in one `Counter` pass
-    over the rows, which runs in C; Python then works once per (size,
-    palette entry) pair, never per cell."""
-    by_size: dict[int, list[int]] = {}
-    for j, c in enumerate(t.classes):
-        by_size.setdefault(c.size, []).append(j)
+    Each run of equal class sizes (a family has two to four; a product
+    interleaves its factors' sizes into more, shorter runs) is one slice of
+    every row, counted in one `Counter` pass that runs in C; Python works
+    once per (run, palette entry) pair, never per cell."""
     cells = [0] * len(t.palette)
     elems = [0] * len(t.palette)
-    for size, cols in by_size.items():
-        if len(cols) == 1:  # itemgetter of one index returns a bare value
-            counts = Counter(map(itemgetter(cols[0]), rows))
-        else:
-            counts = Counter(chain.from_iterable(map(itemgetter(*cols), rows)))
+    end = 0
+    for size, run in groupby(map(attrgetter("size"), t.classes)):
+        start, end = end, end + len(list(run))
+        counts = Counter(chain.from_iterable(map(itemgetter(slice(start, end)), rows)))
         for x, n in counts.items():
             cells[x] += n
             elems[x] += n * size

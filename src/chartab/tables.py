@@ -19,7 +19,9 @@ Class ordering in each generator follows the construction given in its
 docstring; the identity class always comes first.  Generated tables carry
 values in the conductor of their construction (a power of two for the
 2-groups, ``q - 1`` and ``q + 1`` for the split and nonsplit torus values),
-never shrunk to the minimal field.
+never shrunk to the minimal field.  Every cosine row (a dihedral planar
+character, a PSL principal or discrete series) is one `itemgetter` gather
+of an earlier row by `_cosine_rows`.
 
 ``FAMILIES`` holds one record per single family (kind name, parameter
 name, generator, class count, group order); the spec functions and
@@ -52,6 +54,7 @@ from chartab.exactnum import (
     ChartabError,
     Cyclotomic,
     canonicalize,
+    factorize,
     prime_1_mod,
     residues,
     root_of_unity,
@@ -377,19 +380,43 @@ def trivial_table() -> CharacterTable:
     )
 
 
-def _cosine_pairs(
-    conductor: int, sign: int, palette: list[Cyclotomic], exponents: Sequence[int]
-) -> list[int]:
-    """Append ``sign * (zeta**e + zeta**-e)`` for each ``e`` of ``exponents``
-    (``0..conductor // 2`` in some order) and ``zeta = zeta_conductor`` to
-    ``palette``; return, per exponent mod the conductor, the palette index
-    of its value (``-e`` shares ``e``'s)."""
-    slot = {e: len(palette) + i for i, e in enumerate(exponents)}
-    palette.extend(
-        canonicalize(conductor, {e: sign, -e: sign} if e else {0: 2 * sign})
-        for e in exponents
-    )
-    return [slot[min(e, conductor - e)] for e in range(conductor)]
+def _cosine_rows(
+    conductor: int, sign: int, palette: list[Cyclotomic], columns: Sequence[int], tail: tuple
+) -> list[tuple[int, ...]]:
+    """Rows ``h = 1 .. (c - 1) // 2`` for ``c = conductor``: row ``h`` holds
+    ``sign * (zeta_c**(h*k) + zeta_c**(-h*k))`` on each residue ``k`` of
+    ``columns`` (``0 .. c // 2`` in some order), then the indices ``tail``.
+    Row 1's values join ``palette`` in column order, so row 1 is a run.
+
+    Every other row is one gather and no Python step per cell: row ``h``
+    depends on ``h`` up to sign mod ``c``, so row ``m*h`` is row ``h`` read
+    at the column of ``+-m*k`` for each ``k``, the tail in place; one
+    `itemgetter` per multiplier ``m`` is built once.  The multipliers are the
+    unit generators and the primes of ``c``.  Every ``h`` is ``gcd(h, c)``
+    times a unit, so a walk from row 1 by units, then primes, reaches row
+    ``h``; each row ``x`` on the way has ``gcd(x, c)`` dividing ``gcd(h,
+    c)``, so it is neither 0 nor ``c / 2`` when ``0 < 2h < c``.
+    """
+    c = conductor
+    start = len(palette)
+    palette.extend(canonicalize(c, {k: sign, -k: sign} if k else {0: 2 * sign}) for k in columns)
+    column = {k: j for j, k in enumerate(columns)}
+    fixed = range(len(columns), len(columns) + len(tail))
+    # 0 and +-1 reach no new row
+    steps = {min(g % c, -g % c) for g in (*unit_generators(c), *factorize(c))} - {0, 1}
+    gathers = [
+        (m, itemgetter(*[column[min(m * k % c, -m * k % c)] for k in columns], *fixed))
+        for m in steps
+    ]
+    rows = {1: tuple(range(start, start + len(columns))) + tail}
+    walk = [1]
+    for h in walk:
+        for m, gather in gathers:
+            x = min(m * h % c, -m * h % c)
+            if 0 < 2 * x < c and x not in rows:
+                rows[x] = gather(rows[h])
+                walk.append(x)
+    return [rows[h] for h in range(1, (c + 1) // 2)]
 
 
 def dihedral_table(n: int) -> CharacterTable:
@@ -406,18 +433,8 @@ def dihedral_table(n: int) -> CharacterTable:
 
     ``n == 1`` is allowed and yields the elementary abelian group of order 4
     (four singleton classes, four linear characters, no planar ones);
-    ``n == 2`` has the single planar character ``rot1``.
-
-    The planar rows are gathers, one C call per row and none per cell.
-    Row ``h`` depends only on ``h`` up to sign mod ``2**n``, and row
-    ``m*h`` is row ``h`` read at the columns of the exponents ``+-m*k``:
-    its cell on class ``k`` is row ``h``'s cell on the class of ``m*k``.
-    So one `itemgetter` per multiplier, built once, turns row ``h`` into
-    row ``m*h``, reusing the palette indices row ``h`` holds.  Two
-    multipliers reach every row from ``rot1``: the units mod ``2**n`` are
-    ``+-5**j``, so the ``x5`` orbit of 1 runs over every odd ``h`` up to
-    sign, and every even ``h`` is twice a smaller ``h``, whose row is
-    built first.
+    ``n == 2`` has the single planar character ``rot1``.  The planar rows
+    are gathers (`_cosine_rows`), the two reflection zeros a fixed tail.
     """
     check_table_guard(Dihedral(n))
     order = 2 ** (n + 1)
@@ -443,29 +460,11 @@ def dihedral_table(n: int) -> CharacterTable:
     names = ["trivial", "sign_refl", "sign_rot", "sign_both"]
     rows = [linear(1, 1), linear(1, -1), linear(-1, 1), linear(-1, -1)]
 
-    # e = rot / 4 gives the zero the reflection classes carry.  Row rot1
-    # meets the cosines first, in class order, so listing them in that
-    # order builds the palette canonical (n >= 2).
-    at = _cosine_pairs(rot, 1, palette, rot_exponents)
-    zero = at[rot // 4]
-    column = {k: j for j, k in enumerate(rot_exponents)}
-
-    def times(m: int) -> itemgetter:
-        """Row ``h`` to row ``m*h``, reflection zeros included."""
-        at_columns = [column[min(m * k % rot, -m * k % rot)] for k in rot_exponents]
-        return itemgetter(*at_columns, half + 1, half + 2)
-
-    planar = {1: tuple(map(at.__getitem__, rot_exponents)) + (zero, zero)}
-    times5, times2 = times(5), times(2)
-    h = 1
-    for _ in range(1, half // 2):
-        row = times5(planar[h])
-        h = min(5 * h % rot, -5 * h % rot)
-        planar[h] = row
-    for h in range(2, half, 2):
-        planar[h] = times2(planar[h // 2])
+    # e = rot / 4 gives the reflections' zero.  Row rot1 meets the cosines
+    # first, in class order, so that order builds the palette canonical (n >= 2).
+    zero = len(palette) + rot_exponents.index(rot // 4)
     names.extend(f"rot{h}" for h in range(1, half))
-    rows.extend(map(planar.__getitem__, range(1, half)))
+    rows.extend(_cosine_rows(rot, 1, palette, rot_exponents, (zero, zero)))
 
     return CharacterTable(
         group_name=f"dihedral({n})",
@@ -538,6 +537,7 @@ def psl2_even_table(r: int) -> CharacterTable:
     series of degree ``q + 1`` carrying ``zeta_{q-1}`` cosine pairs on the
     split classes; the ``q / 2`` discrete series of degree ``q - 1``
     carrying negated ``zeta_{q+1}`` cosine pairs on the nonsplit classes.
+    Both series are gathers (`_cosine_rows`) with no tail.
     """
     check_table_guard(Psl2Even(r))
     q = 2**r
@@ -551,30 +551,24 @@ def psl2_even_table(r: int) -> CharacterTable:
     for m in range(1, n_nonsplit + 1):
         classes.append(ClassInfo(f"nonsplit{m}", q * (q - 1), (q + 1) // gcd(m, q + 1)))
 
-    palette = [
-        Cyclotomic.one(),
-        Cyclotomic.from_rational(q),
-        Cyclotomic.zero(),
-        Cyclotomic.from_rational(-1),
-        Cyclotomic.from_rational(q + 1),
-        Cyclotomic.from_rational(q - 1),
-    ]
+    palette = list(map(Cyclotomic.from_rational, (1, q, 0, -1, q + 1, q - 1)))
     ONE, STEINBERG, ZERO, NEG, PRINCIPAL, DISCRETE = range(6)
     names = ["trivial", "steinberg"]
     rows = [
         (ONE,) * (q + 1),
         (STEINBERG, ZERO) + (ONE,) * n_split + (NEG,) * n_nonsplit,
     ]
-    at = _cosine_pairs(q - 1, 1, palette, range((q - 1) // 2 + 1))
-    for j in range(1, n_split + 1):
-        names.append(f"principal{j}")
-        block = tuple(at[j * l % (q - 1)] for l in range(1, n_split + 1))
-        rows.append((PRINCIPAL, ONE) + block + (ZERO,) * n_nonsplit)
-    at = _cosine_pairs(q + 1, -1, palette, range((q + 1) // 2 + 1))
-    for m in range(1, n_nonsplit + 1):
-        names.append(f"discrete{m}")
-        block = tuple(at[m * k % (q + 1)] for k in range(1, n_nonsplit + 1))
-        rows.append((DISCRETE, NEG) + (ZERO,) * n_split + block)
+    # residue 0 rides in the gathers (a prime multiplier can reach it); row[1:] drops it
+    names.extend(f"principal{j}" for j in range(1, n_split + 1))
+    rows.extend(
+        (PRINCIPAL, ONE) + row[1:] + (ZERO,) * n_nonsplit
+        for row in _cosine_rows(q - 1, 1, palette, range(n_split + 1), ())
+    )
+    names.extend(f"discrete{m}" for m in range(1, n_nonsplit + 1))
+    rows.extend(
+        (DISCRETE, NEG) + (ZERO,) * n_split + row[1:]
+        for row in _cosine_rows(q + 1, -1, palette, range(n_nonsplit + 1), ())
+    )
 
     return CharacterTable(
         group_name=f"psl2even({r})",

@@ -1,11 +1,14 @@
 """The per-cell Python loops, kept as the reference for the C-builtin passes.
 
-Verbatim copies of four passes as they stood before they moved into
+Verbatim copies of five passes as they stood before they moved into
 C builtins (`Counter`, `itemgetter`, tuple concatenation, a JSON encoder
-run once per palette entry):
+run once per palette entry), with the helper `_cosine_pairs` they share:
 
 * `reference_dihedral_table`: `chartab.tables.dihedral_table`, one
   ``at[h * k % rot]`` lookup per planar cell;
+* `reference_psl2_even_table`: `chartab.tables.psl2_even_table`, one
+  ``at[j * l % (q - 1)]`` or ``at[m * k % (q + 1)]`` lookup per cosine
+  cell;
 * `reference_extraspecial2_table`: `chartab.tables.extraspecial2_table`,
   one `bin(w & v).count("1")` per cell;
 * `reference_histogram`: `chartab.stats._histogram`, two list updates per
@@ -22,17 +25,33 @@ from __future__ import annotations
 
 import json
 
+from collections.abc import Sequence
 from math import gcd
 
-from chartab.exactnum import Cyclotomic
+from chartab.exactnum import Cyclotomic, canonicalize
 from chartab.tables import (
     CharacterTable,
     ClassInfo,
     Dihedral,
+    Psl2Even,
     _check_positive,
-    _cosine_pairs,
     check_table_guard,
 )
+
+
+def _cosine_pairs(
+    conductor: int, sign: int, palette: list[Cyclotomic], exponents: Sequence[int]
+) -> list[int]:
+    """Append ``sign * (zeta**e + zeta**-e)`` for each ``e`` of ``exponents``
+    (``0..conductor // 2`` in some order) and ``zeta = zeta_conductor`` to
+    ``palette``; return, per exponent mod the conductor, the palette index
+    of its value (``-e`` shares ``e``'s)."""
+    slot = {e: len(palette) + i for i, e in enumerate(exponents)}
+    palette.extend(
+        canonicalize(conductor, {e: sign, -e: sign} if e else {0: 2 * sign})
+        for e in exponents
+    )
+    return [slot[min(e, conductor - e)] for e in range(conductor)]
 
 
 def reference_dihedral_table(n: int) -> CharacterTable:
@@ -133,6 +152,65 @@ def reference_extraspecial2_table(n: int) -> CharacterTable:
         classes=tuple(classes),
         character_names=tuple(names),
         palette=palette,
+        rows=tuple(rows),
+    )
+
+
+def reference_psl2_even_table(r: int) -> CharacterTable:
+    """PSL(2, q) for ``q = 2**r`` on its classical class list.
+
+    Classes, in order: identity; the involution class of size ``q**2 - 1``;
+    the ``(q - 2) / 2`` split-torus classes (size ``q(q+1)``, element orders
+    dividing ``q - 1``); the ``q / 2`` nonsplit-torus classes (size
+    ``q(q-1)``, element orders dividing ``q + 1``).  Characters: trivial;
+    the Steinberg character of degree ``q``; the ``(q - 2) / 2`` principal
+    series of degree ``q + 1`` carrying ``zeta_{q-1}`` cosine pairs on the
+    split classes; the ``q / 2`` discrete series of degree ``q - 1``
+    carrying negated ``zeta_{q+1}`` cosine pairs on the nonsplit classes.
+    """
+    check_table_guard(Psl2Even(r))
+    q = 2**r
+    order = q**3 - q
+    n_split = (q - 2) // 2
+    n_nonsplit = q // 2
+
+    classes = [ClassInfo("1", 1, 1), ClassInfo("u", q * q - 1, 2)]
+    for l in range(1, n_split + 1):
+        classes.append(ClassInfo(f"split{l}", q * (q + 1), (q - 1) // gcd(l, q - 1)))
+    for m in range(1, n_nonsplit + 1):
+        classes.append(ClassInfo(f"nonsplit{m}", q * (q - 1), (q + 1) // gcd(m, q + 1)))
+
+    palette = [
+        Cyclotomic.one(),
+        Cyclotomic.from_rational(q),
+        Cyclotomic.zero(),
+        Cyclotomic.from_rational(-1),
+        Cyclotomic.from_rational(q + 1),
+        Cyclotomic.from_rational(q - 1),
+    ]
+    ONE, STEINBERG, ZERO, NEG, PRINCIPAL, DISCRETE = range(6)
+    names = ["trivial", "steinberg"]
+    rows = [
+        (ONE,) * (q + 1),
+        (STEINBERG, ZERO) + (ONE,) * n_split + (NEG,) * n_nonsplit,
+    ]
+    at = _cosine_pairs(q - 1, 1, palette, range((q - 1) // 2 + 1))
+    for j in range(1, n_split + 1):
+        names.append(f"principal{j}")
+        block = tuple(at[j * l % (q - 1)] for l in range(1, n_split + 1))
+        rows.append((PRINCIPAL, ONE) + block + (ZERO,) * n_nonsplit)
+    at = _cosine_pairs(q + 1, -1, palette, range((q + 1) // 2 + 1))
+    for m in range(1, n_nonsplit + 1):
+        names.append(f"discrete{m}")
+        block = tuple(at[m * k % (q + 1)] for k in range(1, n_nonsplit + 1))
+        rows.append((DISCRETE, NEG) + (ZERO,) * n_split + block)
+
+    return CharacterTable(
+        group_name=f"psl2even({r})",
+        group_order=order,
+        classes=tuple(classes),
+        character_names=tuple(names),
+        palette=tuple(palette),
         rows=tuple(rows),
     )
 

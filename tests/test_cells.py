@@ -13,6 +13,7 @@ from cell_reference import (
     reference_dihedral_table,
     reference_extraspecial2_table,
     reference_histogram,
+    reference_psl2_even_table,
     reference_table_json,
 )
 
@@ -30,6 +31,7 @@ from chartab.tables import (
     build_table,
     dihedral_table,
     extraspecial2_table,
+    psl2_even_table,
     trivial_table,
 )
 
@@ -45,8 +47,24 @@ def test_dihedral_rows_match_the_reference(n):
     assert fast == slow
 
 
-def test_dihedral_rows_take_no_python_step_per_cell():
-    dihedral_table(9)  # warm the caches
+@pytest.mark.parametrize("r", range(1, 11))
+def test_psl2_rows_match_the_reference(r):
+    fast = psl2_even_table(r)
+    slow = reference_psl2_even_table(r)
+    assert fast.rows == slow.rows
+    assert [v.key() for v in fast.palette] == [v.key() for v in slow.palette]
+    assert fast.classes == slow.classes
+    assert fast.character_names == slow.character_names
+    assert fast == slow
+
+
+@pytest.mark.parametrize(
+    "build, per_class",
+    [(lambda: dihedral_table(9), 20), (lambda: psl2_even_table(9), 40)],
+    ids=["dihedral(9)", "psl2even(9)"],
+)
+def test_cosine_rows_take_no_python_step_per_cell(build, per_class):
+    build()  # warm the caches
     calls = 0
 
     def count(frame, event, arg):
@@ -56,11 +74,11 @@ def test_dihedral_rows_take_no_python_step_per_cell():
     outer = sys.getprofile()
     sys.setprofile(count)
     try:
-        t = dihedral_table(9)
+        t = build()
     finally:
         sys.setprofile(outer)
-    # the per-cell loop made one call per planar cell (over 60,000 here)
-    assert calls < 20 * t.num_classes
+    # the per-cell loops made one call per cosine cell (over 60,000 here)
+    assert calls < per_class * t.num_classes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -79,13 +97,16 @@ HISTOGRAM_SPECS = [
     *(Psl2Even(r) for r in (1, 2, 3, 4, 5, 6, 7)),
     Product((Dihedral(2), Psl2Even(2))),
     Product((Extraspecial2(1), Extraspecial2(1), Dihedral(3))),
+    pytest.param(
+        lambda: dixon_character_table(builtin_perm_group(Psl2Even(3))), id="oracle-psl2even(3)"
+    ),
 ]
 NAMED_ROW = {Dihedral: "sign_rot", Extraspecial2: "faithful", Psl2Even: "steinberg"}
 
 
 @pytest.mark.parametrize("spec", HISTOGRAM_SPECS, ids=repr)
 def test_histogram_matches_the_reference(spec):
-    t = build_table(spec)
+    t = spec() if callable(spec) else build_table(spec)
     one = [t.rows[t.character_index(NAMED_ROW.get(type(spec), t.character_names[-1]))]]
     for rows in (t.rows, one, []):
         fast = _histogram(t, rows)

@@ -67,6 +67,17 @@ def test_closed_stdout_exits_quietly():
     assert err == b""  # no traceback, no diagnostic
 
 
+def test_python_dash_m_chartab_runs_the_cli(capsys):
+    argv = ["table", "dihedral", "2", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(chartab.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chartab", *argv], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout.decode() == run(capsys, *argv)[1]
+
+
 def test_unknown_family_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "cyclic", "5"])
