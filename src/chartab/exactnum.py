@@ -369,12 +369,6 @@ class Cyclotomic:
             "coeffs": [[e, str(c)] for e, c in self.coeffs],
         }
 
-    @staticmethod
-    def from_json(doc: dict) -> "Cyclotomic":
-        return canonicalize(
-            int(doc["conductor"]), {int(e): Fraction(c) for e, c in doc["coeffs"]}
-        )
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

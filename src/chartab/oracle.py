@@ -99,26 +99,6 @@ class PermGroup:
                 )
 
 
-def parse_perm_group(text: str) -> PermGroup:
-    """Text format: first line the degree, then one generator per line as
-    space-separated images of 0..degree-1."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise InvalidParameterError("empty permutation group description")
-    try:
-        degree = int(lines[0])
-        gens = tuple(tuple(int(tok) for tok in ln.split()) for ln in lines[1:])
-    except ValueError as exc:
-        raise InvalidParameterError(f"bad permutation group text: {exc}") from exc
-    return PermGroup(degree, gens)
-
-
-def format_perm_group(group: PermGroup) -> str:
-    lines = [str(group.degree)]
-    lines.extend(" ".join(str(i) for i in g) for g in group.generators)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # permutation arithmetic
 

@@ -64,6 +64,7 @@ SCAN_BIT_LIMIT = 2**27
 # floor(log2 |G|) from which closed forms are refused: at n = 10^6 a
 # dihedral scan row already takes seconds, and the time grows as n^2
 CLOSED_FORM_BIT_LIMIT = 10**6
+DECIMAL_PLACES = 12
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -95,13 +96,14 @@ class StatKind(Enum):
         return self.name.startswith(("U_", "THETA_"))
 
 
-def render_decimal(value: Rational, places: int = 12) -> str:
-    """Fixed-point rendering, round-half-even; an annotation, never an input."""
+def render_decimal(value: Rational) -> str:
+    """Fixed-point rendering to `DECIMAL_PLACES`, round-half-even; an
+    annotation, never an input."""
     x = Fraction(value)
     sign = "-" if x < 0 else ""
-    scaled = round(abs(x) * 10**places)
-    whole, frac = divmod(scaled, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    scaled = round(abs(x) * 10**DECIMAL_PLACES)
+    whole, frac = divmod(scaled, 10**DECIMAL_PLACES)
+    return f"{sign}{whole}.{frac:0{DECIMAL_PLACES}d}"
 
 
 @dataclass(frozen=True)

@@ -111,8 +111,8 @@ class CharacterTable:
             order.setdefault(merged[i], len(order))
         index = [order.get(m) for m in merged]
         if index == list(range(len(index))):
-            # already canonical, as the dihedral and extraspecial builders
-            # emit it: keep the indices
+            # already canonical, as the generators emit it unless a prime
+            # q -+ 1 leaves a PSL(2, q) value unused: keep the indices
             object.__setattr__(self, "palette", tuple(self.palette))
             object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
             return
@@ -210,32 +210,6 @@ class CharacterTable:
         head = json.dumps(doc, indent=2)[: -len("\n}")]
         return f'{head},\n  "characters": [\n{body}\n  ]\n}}'
 
-    @staticmethod
-    def from_json(doc: dict) -> "CharacterTable":
-        """Read a table back; each distinct JSON value is parsed once."""
-        index: dict[tuple, int] = {}
-        distinct: list[dict] = []
-
-        def position(value: dict) -> int:
-            key = (value["conductor"], tuple(map(tuple, value["coeffs"])))
-            if key not in index:
-                index[key] = len(distinct)
-                distinct.append(value)
-            return index[key]
-
-        rows = tuple(tuple(map(position, ch["values"])) for ch in doc["characters"])
-        return CharacterTable(
-            group_name=doc["group"],
-            group_order=int(doc["order"]),
-            classes=tuple(
-                ClassInfo(c["name"], int(c["size"]), int(c["order"]))
-                for c in doc["classes"]
-            ),
-            character_names=tuple(ch["name"] for ch in doc["characters"]),
-            palette=tuple(Cyclotomic.from_json(v) for v in distinct),
-            rows=rows,
-        )
-
 
 # ---------------------------------------------------------------------------
 # family specs
@@ -295,16 +269,6 @@ def spec_to_json(spec: FamilySpec) -> dict:
         return {"kind": "product", "factors": [spec_to_json(f) for f in spec.factors]}
     family, value = single_family(spec)
     return {"kind": family.kind, family.param: value}
-
-
-def spec_from_json(doc: dict) -> FamilySpec:
-    kind = doc["kind"]
-    if kind == "product":
-        return Product(tuple(spec_from_json(f) for f in doc["factors"]))
-    spec = KINDS.get(kind)
-    if spec is None:
-        raise InvalidParameterError(f"unknown family kind {kind!r}")
-    return spec(int(doc[FAMILIES[spec].param]))
 
 
 def spec_class_count(spec: FamilySpec) -> int:
@@ -551,23 +515,26 @@ def psl2_even_table(r: int) -> CharacterTable:
     for m in range(1, n_nonsplit + 1):
         classes.append(ClassInfo(f"nonsplit{m}", q * (q - 1), (q + 1) // gcd(m, q + 1)))
 
-    palette = list(map(Cyclotomic.from_rational, (1, q, 0, -1, q + 1, q - 1)))
-    ONE, STEINBERG, ZERO, NEG, PRINCIPAL, DISCRETE = range(6)
+    # the palette grows in first-use order, so the constructor keeps its indices
+    palette = list(map(Cyclotomic.from_rational, (1, q, 0, -1, q + 1)))
+    ONE, STEINBERG, ZERO, NEG, PRINCIPAL = range(5)
     names = ["trivial", "steinberg"]
     rows = [
         (ONE,) * (q + 1),
         (STEINBERG, ZERO) + (ONE,) * n_split + (NEG,) * n_nonsplit,
     ]
-    # residue 0 rides in the gathers (a prime multiplier can reach it); row[1:] drops it
+    # residue 0 rides last in the gathers (a prime multiplier can reach it); row[:-1] drops it
     names.extend(f"principal{j}" for j in range(1, n_split + 1))
     rows.extend(
-        (PRINCIPAL, ONE) + row[1:] + (ZERO,) * n_nonsplit
-        for row in _cosine_rows(q - 1, 1, palette, range(n_split + 1), ())
+        (PRINCIPAL, ONE) + row[:-1] + (ZERO,) * n_nonsplit
+        for row in _cosine_rows(q - 1, 1, palette, (*range(1, n_split + 1), 0), ())
     )
+    DISCRETE = len(palette)
+    palette.append(Cyclotomic.from_rational(q - 1))
     names.extend(f"discrete{m}" for m in range(1, n_nonsplit + 1))
     rows.extend(
-        (DISCRETE, NEG) + (ZERO,) * n_split + row[1:]
-        for row in _cosine_rows(q + 1, -1, palette, range(n_nonsplit + 1), ())
+        (DISCRETE, NEG) + (ZERO,) * n_split + row[:-1]
+        for row in _cosine_rows(q + 1, -1, palette, (*range(1, n_nonsplit + 1), 0), ())
     )
 
     return CharacterTable(

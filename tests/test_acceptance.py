@@ -13,10 +13,10 @@ from fractions import Fraction
 from chartab.exactnum import ValueClass, classify_value, m_invariant
 from chartab.exactnum import Cyclotomic, canonicalize
 from chartab.oracle import (
+    PermGroup,
     builtin_perm_group,
     compare_tables,
     dixon_character_table,
-    parse_perm_group,
 )
 from chartab.stats import (
     StatKind,
@@ -134,7 +134,7 @@ def test_criterion_5_oracle_equivalence():
         assert compare_tables(generated, oracle).matched, spec
 
     # an independent presentation: PSL(2,4) is the alternating group on 5 points
-    a5 = parse_perm_group("5\n1 2 0 3 4\n1 2 3 4 0")
+    a5 = PermGroup(5, ((1, 2, 0, 3, 4), (1, 2, 3, 4, 0)))
     assert compare_tables(build_table(Psl2Even(2)), dixon_character_table(a5)).matched
 
     started = time.perf_counter()
@@ -214,10 +214,10 @@ def _corpus():
         tables.append((extraspecial2_table(n), True))
     for r in range(1, 4):
         tables.append((psl2_even_table(r), False))
-    s3 = parse_perm_group("3\n1 0 2\n1 2 0")
-    s4 = parse_perm_group("4\n1 0 2 3\n1 2 3 0")
-    a5 = parse_perm_group("5\n1 2 0 3 4\n1 2 3 4 0")
-    q8 = parse_perm_group("8\n2 3 1 0 6 7 5 4\n4 5 7 6 1 0 2 3")
+    s3 = PermGroup(3, ((1, 0, 2), (1, 2, 0)))
+    s4 = PermGroup(4, ((1, 0, 2, 3), (1, 2, 3, 0)))
+    a5 = PermGroup(5, ((1, 2, 0, 3, 4), (1, 2, 3, 4, 0)))
+    q8 = PermGroup(8, ((2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)))
     klein = builtin_perm_group(Dihedral(1))
     for group, nilpotent in [(s3, False), (s4, False), (a5, False), (q8, True), (klein, True)]:
         tables.append((dixon_character_table(group), nilpotent))

@@ -21,8 +21,6 @@ from chartab.oracle import (
     compare_tables,
     dixon_character_table,
     enumerate_and_classify,
-    format_perm_group,
-    parse_perm_group,
 )
 from chartab.stats import group_stats
 from chartab.tables import (
@@ -38,9 +36,9 @@ from chartab.tables import (
     validate_table,
 )
 
-A5 = parse_perm_group("5\n1 2 0 3 4\n1 2 3 4 0")
-S4 = parse_perm_group("4\n1 0 2 3\n1 2 3 0")
-S3 = parse_perm_group("3\n1 0 2\n1 2 0")
+A5 = PermGroup(5, ((1, 2, 0, 3, 4), (1, 2, 3, 4, 0)))
+S4 = PermGroup(4, ((1, 0, 2, 3), (1, 2, 3, 0)))
+S3 = PermGroup(3, ((1, 0, 2), (1, 2, 0)))
 # quaternion group inside the regular action: i and j as left translations
 Q8 = PermGroup(8, ((2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)))
 
@@ -71,7 +69,7 @@ def test_classify_a5():
 
 def test_classification_ignores_generator_presentation():
     # same group, different generators: canonical classes must agree
-    other = parse_perm_group("5\n1 2 3 4 0\n0 2 1 4 3")  # 5-cycle + double swap
+    other = PermGroup(5, ((1, 2, 3, 4, 0), (0, 2, 1, 4, 3)))  # 5-cycle + double swap
     a, b = enumerate_and_classify(A5), enumerate_and_classify(other)
     assert a.representatives == b.representatives
     assert a.sizes == b.sizes
@@ -582,25 +580,12 @@ def test_builtin_realizes_the_right_group(spec):
     )
 
 
-def test_parse_format_round_trip():
-    text = format_perm_group(A5)
-    assert parse_perm_group(text) == A5
-    assert text.splitlines()[0] == "5"
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(InvalidParameterError):
-        parse_perm_group("")
-    with pytest.raises(InvalidParameterError):
-        parse_perm_group("3\n1 0 x")
-    with pytest.raises(InvalidParameterError):
-        parse_perm_group("3\n1 0")  # wrong length
-    with pytest.raises(InvalidParameterError):
-        parse_perm_group("3\n0 0 1")  # not a bijection
-
-
 def test_perm_group_validation():
     with pytest.raises(InvalidParameterError):
         PermGroup(0, ())
     with pytest.raises(InvalidParameterError):
         PermGroup(2, ((1, 2),))
+    with pytest.raises(InvalidParameterError):
+        PermGroup(3, ((1, 0),))  # wrong length
+    with pytest.raises(InvalidParameterError):
+        PermGroup(3, ((0, 0, 1),))  # not a bijection

@@ -423,12 +423,12 @@ def test_theta_master_two_factor_table():
 
 def test_render_decimal():
     assert render_decimal(Fraction(1, 3)) == "0.333333333333"
-    assert render_decimal(Fraction(17, 44), 6) == "0.386364"
-    assert render_decimal(Fraction(-1, 4), 3) == "-0.250"
+    assert render_decimal(Fraction(17, 44)) == "0.386363636364"
+    assert render_decimal(Fraction(-1, 4)) == "-0.250000000000"
     assert render_decimal(2) == "2.000000000000"
     # round-half-even on the last kept digit
-    assert render_decimal(Fraction(1, 8), 2) == "0.12"
-    assert render_decimal(Fraction(3, 8), 2) == "0.38"
+    assert render_decimal(Fraction(1, 2 * 10**12)) == "0.000000000000"
+    assert render_decimal(Fraction(3, 2 * 10**12)) == "0.000000000002"
 
 
 def test_stat_record_json():
