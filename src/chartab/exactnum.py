@@ -31,16 +31,19 @@ The residues at a split prime p = 1 mod N (``prime_1_mod``,
 ``root_of_unity``, ``unit_generators``, ``residues``) map the algebraic
 integers of Q(zeta_N) to F_p by a ring homomorphism; the oracle computes
 in that field, and ``validate_table`` proves row orthogonality there.
+
+`Record` is the base of every record class of the package: a frozen
+class whose fields are its annotations.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import attrgetter
 
 Rational = Fraction
 
@@ -55,6 +58,74 @@ class InvalidConductorError(ChartabError):
 
 class NotAlgebraicIntegerError(ChartabError):
     """Raised when a value is built with a non-integer power-basis coordinate."""
+
+
+class Record:
+    """A frozen record whose fields are its class's own annotations, in order.
+
+    Equal records are of one class with equal fields; a record of another
+    class is never equal, so two record kinds with the same fields never
+    share a dict key.  The hash is that of the fields, `repr` reads
+    ``Name(field=value, ...)``, and assigning or deleting an attribute
+    raises `AttributeError`.  Instances keep a ``__dict__``, so
+    `functools.cached_property` and `copy.deepcopy` work on them.
+
+    The generic constructor takes the fields positionally or by name, with
+    a class attribute as a field's default, then runs the class's
+    ``__post_init__`` (read off the class on every call).  A record built
+    often has its own ``__init__``, which skips the binding and takes
+    about 60% of the time.  Fields are stored with `object.__setattr__`,
+    never through ``self.__dict__``: on CPython 3.11 reading ``__dict__``
+    moves an instance's attribute values into a dict, and every later read
+    of a field then takes about three times as long.  No class is built by
+    generating code, which took most of ``import chartab.cli`` (README,
+    "Design notes").
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                object.__setattr__(self, name, kwargs.pop(name))
+            elif hasattr(cls, name):
+                object.__setattr__(self, name, getattr(cls, name))
+            else:
+                raise TypeError(f"{cls.__name__} missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got unexpected or repeated fields {sorted(kwargs)}")
+        cls.__post_init__(self)
+
+    def __post_init__(self) -> None:
+        """Check or normalize the fields once they are set; a record class
+        with such a rule overrides this."""
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
 
 class ValueClass(Enum):
@@ -188,8 +259,7 @@ def canonicalize(conductor: int, coeffs) -> "Cyclotomic":
     return _build(conductor, checked)
 
 
-@dataclass(frozen=True, eq=False)
-class Cyclotomic:
+class Cyclotomic(Record):
     """A cyclotomic integer of Z[zeta_conductor] in reduced power-basis form.
 
     Instances are immutable.  Equality is semantic: values with different
@@ -201,6 +271,10 @@ class Cyclotomic:
 
     conductor: int
     coeffs: tuple[tuple[int, int], ...]
+
+    def __init__(self, conductor: int, coeffs: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- basic constructors -------------------------------------------------
 

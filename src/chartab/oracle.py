@@ -44,12 +44,12 @@ round trip; its search compares one integer id per row per class tried.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from operator import itemgetter
 
 from chartab.exactnum import (
     ChartabError,
+    Record,
     canonicalize,
     factorize,
     prime_1_mod,
@@ -83,8 +83,7 @@ class GroupTooLargeError(ChartabError):
     """A group past the element limit: a family by its order, any group by its closure."""
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(Record):
     degree: int
     generators: tuple[Perm, ...]
 
@@ -140,8 +139,7 @@ def _perm_order(p: Perm) -> int:
 # enumeration and conjugacy classes
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(Record):
     """Conjugacy classes in canonical order, with their members; class_of sends each
     element to its class, so the class of a power of a representative is one lookup."""
 
@@ -707,8 +705,7 @@ def builtin_perm_group(spec: FamilySpec) -> PermGroup:
 # table comparison up to relabeling
 
 
-@dataclass(frozen=True)
-class TableComparison:
+class TableComparison(Record):
     """The outcome of `compare_tables`: on a match, class_map and row_map
     send indices of the first table to indices of the second; otherwise
     reason says what differs."""

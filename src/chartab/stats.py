@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
@@ -41,7 +40,7 @@ from itertools import chain, groupby
 from math import gcd
 from operator import attrgetter, itemgetter
 
-from chartab.exactnum import Cyclotomic, Rational, ValueClass, classify_value
+from chartab.exactnum import Cyclotomic, Rational, Record, ValueClass, classify_value
 from chartab.tables import (
     CLASS_LIMIT,
     CharacterTable,
@@ -106,12 +105,19 @@ def render_decimal(value: Rational) -> str:
     return f"{sign}{whole}.{frac:0{DECIMAL_PLACES}d}"
 
 
-@dataclass(frozen=True)
-class StatRecord:
+class StatRecord(Record):
     z_elem: Fraction
     z_class: Fraction
     u_elem: Fraction
     u_class: Fraction
+
+    def __init__(
+        self, z_elem: Fraction, z_class: Fraction, u_elem: Fraction, u_class: Fraction
+    ) -> None:
+        object.__setattr__(self, "z_elem", z_elem)
+        object.__setattr__(self, "z_class", z_class)
+        object.__setattr__(self, "u_elem", u_elem)
+        object.__setattr__(self, "u_class", u_class)
 
     # theta = z + u is derived, and summed only when read: the sum of two
     # deep product values costs big-integer gcds that z and u alone do not
@@ -251,8 +257,7 @@ def group_stats(t: CharacterTable) -> StatRecord:
 # closed forms
 
 
-@dataclass(frozen=True)
-class ClosedFormStats:
+class ClosedFormStats(Record):
     """A family's closed forms.  `group` is computed on its first read from
     `group_record`: PSL(2, q)'s takes O(q) steps, and character-scope
     readers never need it."""
@@ -260,6 +265,16 @@ class ClosedFormStats:
     group_record: Callable[[], StatRecord]
     character_name: str | None
     character: StatRecord | None
+
+    def __init__(
+        self,
+        group_record: Callable[[], StatRecord],
+        character_name: str | None,
+        character: StatRecord | None,
+    ) -> None:
+        object.__setattr__(self, "group_record", group_record)
+        object.__setattr__(self, "character_name", character_name)
+        object.__setattr__(self, "character", character)
 
     @cached_property
     def group(self) -> StatRecord:

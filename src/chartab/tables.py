@@ -45,7 +45,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
@@ -53,6 +52,7 @@ from operator import itemgetter, mul
 from chartab.exactnum import (
     ChartabError,
     Cyclotomic,
+    Record,
     canonicalize,
     factorize,
     prime_1_mod,
@@ -76,15 +76,18 @@ class MalformedTableError(ChartabError):
     """Raised when a table fails a structural lookup (unknown class name, ...)."""
 
 
-@dataclass(frozen=True)
-class ClassInfo:
+class ClassInfo(Record):
     name: str
     size: int
     element_order: int
 
+    def __init__(self, name: str, size: int, element_order: int) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "element_order", element_order)
 
-@dataclass(frozen=True)
-class CharacterTable:
+
+class CharacterTable(Record):
     """A table stored as a palette of its distinct values plus index rows.
 
     ``rows[i][j]`` is the palette index of character i on class j.  A table
@@ -215,31 +218,38 @@ class CharacterTable:
 # family specs
 
 
-@dataclass(frozen=True)
-class Dihedral:
+class Dihedral(Record):
     n: int
 
+    def __init__(self, n: int) -> None:
+        object.__setattr__(self, "n", n)
 
-@dataclass(frozen=True)
-class Extraspecial2:
+
+class Extraspecial2(Record):
     n: int
 
+    def __init__(self, n: int) -> None:
+        object.__setattr__(self, "n", n)
 
-@dataclass(frozen=True)
-class Psl2Even:
+
+class Psl2Even(Record):
     r: int
 
+    def __init__(self, r: int) -> None:
+        object.__setattr__(self, "r", r)
 
-@dataclass(frozen=True)
-class Product:
+
+class Product(Record):
     factors: tuple["FamilySpec", ...]
+
+    def __init__(self, factors: tuple[FamilySpec, ...]) -> None:
+        object.__setattr__(self, "factors", factors)
 
 
 FamilySpec = Dihedral | Extraspecial2 | Psl2Even | Product
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """What the package knows of a single family, as functions of its
     parameter: the class count and the group order, each with its
     floor(log2) read off the parameter, and the table generator."""
@@ -651,8 +661,7 @@ def product_table(a: CharacterTable, b: CharacterTable) -> CharacterTable:
 # validation
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool
     failure: str | None = None
 

@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 
-from chartab.exactnum import ChartabError
+from chartab.exactnum import ChartabError, Record
 from chartab.stats import (
     ClosedFormStats,
     Counts,
@@ -85,8 +84,7 @@ class WitnessInconsistencyError(ChartabError):
     """Raised when a witness fails independent re-verification."""
 
 
-@dataclass(frozen=True)
-class WitnessQuery:
+class WitnessQuery(Record):
     kind: StatKind
     scope: Scope
     target: Fraction
@@ -112,15 +110,18 @@ class WitnessQuery:
         }
 
 
-@dataclass(frozen=True)
-class TrailStep:
+class TrailStep(Record):
     choice: str
     rule: str
     value: Fraction
 
+    def __init__(self, choice: str, rule: str, value: Fraction) -> None:
+        object.__setattr__(self, "choice", choice)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
-class WitnessFactor:
+
+class WitnessFactor(Record):
     family: FamilySpec
     character: str | None
     power: int
@@ -133,8 +134,7 @@ class WitnessFactor:
         }
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     query: WitnessQuery
     factors: tuple[WitnessFactor, ...]
     k: int
@@ -313,14 +313,19 @@ def _exceeds(power: int, bound: int, epsilon: Fraction) -> bool:
     return epsilon.numerator << power > bound * epsilon.denominator
 
 
-@dataclass(frozen=True)
-class _Pick:
+class _Pick(Record):
     """A plan factor at parameter p; its closed forms are computed on first use."""
 
     spec: FamilySpec
     p: int
     scope: Scope
     kind: StatKind
+
+    def __init__(self, spec: FamilySpec, p: int, scope: Scope, kind: StatKind) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "scope", scope)
+        object.__setattr__(self, "kind", kind)
 
     @cached_property
     def closed_form(self) -> ClosedFormStats:
@@ -347,8 +352,7 @@ class _Pick:
         return WitnessFactor(self.spec, self.character, power)
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(Record):
     """A factor's family, and its parameter: the smallest p >= start whose
     pick satisfies accept(pick, epsilon)."""
 
@@ -357,8 +361,7 @@ class _Rule:
     accept: Callable[[_Pick, Fraction], bool]
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(Record):
     """Base (power 1, or absent) times step^k, k from k_start; trail(base,
     step, k, hit) lists the (choice, rule, value) lines, hit the line of k."""
 
@@ -520,8 +523,7 @@ def witness_global(kind: StatKind, target, epsilon) -> Witness:
 # verification
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     replay_value: Fraction
     table_value: Fraction | None
     table_skipped: str | None

@@ -1,6 +1,10 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and starting
+it generates no code."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +32,21 @@ def test_package_imports_only_the_standard_library(path):
 
 def test_every_module_is_checked():
     assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "tables.py", "exactnum.py"}
+
+
+# `dataclasses` imports `inspect`, which imports `ast`, `dis` and
+# `tokenize`; with the class decorations they took most of
+# `import chartab.cli`, which every command pays.
+CODE_GENERATORS = ("dataclasses", "inspect", "ast")
+
+
+def test_starting_the_command_line_loads_no_code_generator():
+    script = "import sys, json, chartab.cli; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "chartab.cli" in loaded
+    assert loaded.isdisjoint(CODE_GENERATORS), sorted(loaded & set(CODE_GENERATORS))

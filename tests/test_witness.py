@@ -1,6 +1,5 @@
 """Witness searches: frozen small cases, band membership, minimality, tamper checks."""
 
-import dataclasses
 import hashlib
 import random
 import time
@@ -95,7 +94,7 @@ def test_theta_group_needs_extraspecial_tail():
 def test_searches_are_deterministic():
     a = witness_global(StatKind.U_ELEM, Fraction(1, 3), Fraction(1, 50))
     b = witness_global(StatKind.U_ELEM, Fraction(1, 3), Fraction(1, 50))
-    assert a == b  # bit-identical dataclasses, not just close values
+    assert a == b  # bit-identical records, not just close values
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +335,7 @@ def test_verify_names_a_huge_class_count_by_its_size(kind, scope, target, bits, 
 
 def test_verify_catches_tampered_value():
     w = witness_local(StatKind.U_ELEM, Fraction(1, 2), Fraction(1, 20))
-    bad = dataclasses.replace(w, value=w.value + Fraction(1, 10**9))
+    bad = Witness(w.query, w.factors, w.k, w.value + Fraction(1, 10**9), w.trail)
     with pytest.raises(WitnessInconsistencyError) as exc:
         verify_witness(bad)
     assert str(w.value + Fraction(1, 10**9)) in str(exc.value)
@@ -345,16 +344,18 @@ def test_verify_catches_tampered_value():
 def test_verify_catches_tampered_power():
     w = witness_global(StatKind.Z_ELEM, Fraction(1, 2), Fraction(1, 20))
     assert w.k > 1
-    factors = (dataclasses.replace(w.factors[0], power=w.k - 1),)
+    f = w.factors[0]
+    factors = (WitnessFactor(f.family, f.character, w.k - 1),)
     with pytest.raises(WitnessInconsistencyError):
-        verify_witness(dataclasses.replace(w, factors=factors))
+        verify_witness(Witness(w.query, factors, w.k, w.value, w.trail))
 
 
 def test_verify_rejects_unknown_character():
     w = witness_local(StatKind.Z_ELEM, 0, TENTH)
-    factors = (dataclasses.replace(w.factors[0], character="trivial"),)
+    f = w.factors[0]
+    factors = (WitnessFactor(f.family, "trivial", f.power),)
     with pytest.raises(WitnessInconsistencyError) as exc:
-        verify_witness(dataclasses.replace(w, factors=factors))
+        verify_witness(Witness(w.query, factors, w.k, w.value, w.trail))
     assert "steinberg" in str(exc.value)
 
 
@@ -372,10 +373,11 @@ def test_verify_reads_the_factor_character_at_group_scope():
 def test_verify_rejects_degenerate_witnesses():
     w = witness_local(StatKind.Z_ELEM, 0, TENTH)
     with pytest.raises(WitnessInconsistencyError):
-        verify_witness(dataclasses.replace(w, factors=()))
-    factors = (dataclasses.replace(w.factors[0], power=0),)
+        verify_witness(Witness(w.query, (), w.k, w.value, w.trail))
+    f = w.factors[0]
+    factors = (WitnessFactor(f.family, f.character, 0),)
     with pytest.raises(WitnessInconsistencyError):
-        verify_witness(dataclasses.replace(w, factors=factors))
+        verify_witness(Witness(w.query, factors, w.k, w.value, w.trail))
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 7), Fraction(1, 25)])
