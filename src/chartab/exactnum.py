@@ -70,16 +70,14 @@ class Record:
     raises `AttributeError`.  Instances keep a ``__dict__``, so
     `functools.cached_property` and `copy.deepcopy` work on them.
 
-    The generic constructor takes the fields positionally or by name, with
-    a class attribute as a field's default, then runs the class's
-    ``__post_init__`` (read off the class on every call).  A record built
-    often has its own ``__init__``, which skips the binding and takes
-    about 60% of the time.  Fields are stored with `object.__setattr__`,
-    never through ``self.__dict__``: on CPython 3.11 reading ``__dict__``
-    moves an instance's attribute values into a dict, and every later read
-    of a field then takes about three times as long.  No class is built by
-    generating code, which took most of ``import chartab.cli`` (README,
-    "Design notes").
+    The one constructor takes the fields positionally or by name, with a
+    class attribute as a field's default, then runs the class's
+    ``__post_init__`` (read off the class on every call).  Fields are
+    stored with `object.__setattr__`, never through ``self.__dict__``: on
+    CPython 3.11 reading ``__dict__`` moves an instance's attribute values
+    into a dict, and every later read of a field then takes about three
+    times as long.  No class is built by generating code, which took most
+    of ``import chartab.cli`` (README, "Design notes").
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -271,10 +269,6 @@ class Cyclotomic(Record):
 
     conductor: int
     coeffs: tuple[tuple[int, int], ...]
-
-    def __init__(self, conductor: int, coeffs: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
 
     # -- basic constructors -------------------------------------------------
 

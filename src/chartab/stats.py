@@ -111,14 +111,6 @@ class StatRecord(Record):
     u_elem: Fraction
     u_class: Fraction
 
-    def __init__(
-        self, z_elem: Fraction, z_class: Fraction, u_elem: Fraction, u_class: Fraction
-    ) -> None:
-        object.__setattr__(self, "z_elem", z_elem)
-        object.__setattr__(self, "z_class", z_class)
-        object.__setattr__(self, "u_elem", u_elem)
-        object.__setattr__(self, "u_class", u_class)
-
     # theta = z + u is derived, and summed only when read: the sum of two
     # deep product values costs big-integer gcds that z and u alone do not
     @property
@@ -265,16 +257,6 @@ class ClosedFormStats(Record):
     group_record: Callable[[], StatRecord]
     character_name: str | None
     character: StatRecord | None
-
-    def __init__(
-        self,
-        group_record: Callable[[], StatRecord],
-        character_name: str | None,
-        character: StatRecord | None,
-    ) -> None:
-        object.__setattr__(self, "group_record", group_record)
-        object.__setattr__(self, "character_name", character_name)
-        object.__setattr__(self, "character", character)
 
     @cached_property
     def group(self) -> StatRecord:

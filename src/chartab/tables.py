@@ -81,11 +81,6 @@ class ClassInfo(Record):
     size: int
     element_order: int
 
-    def __init__(self, name: str, size: int, element_order: int) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "element_order", element_order)
-
 
 class CharacterTable(Record):
     """A table stored as a palette of its distinct values plus index rows.
@@ -221,29 +216,17 @@ class CharacterTable(Record):
 class Dihedral(Record):
     n: int
 
-    def __init__(self, n: int) -> None:
-        object.__setattr__(self, "n", n)
-
 
 class Extraspecial2(Record):
     n: int
-
-    def __init__(self, n: int) -> None:
-        object.__setattr__(self, "n", n)
 
 
 class Psl2Even(Record):
     r: int
 
-    def __init__(self, r: int) -> None:
-        object.__setattr__(self, "r", r)
-
 
 class Product(Record):
     factors: tuple["FamilySpec", ...]
-
-    def __init__(self, factors: tuple[FamilySpec, ...]) -> None:
-        object.__setattr__(self, "factors", factors)
 
 
 FamilySpec = Dihedral | Extraspecial2 | Psl2Even | Product

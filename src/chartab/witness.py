@@ -115,11 +115,6 @@ class TrailStep(Record):
     rule: str
     value: Fraction
 
-    def __init__(self, choice: str, rule: str, value: Fraction) -> None:
-        object.__setattr__(self, "choice", choice)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "value", value)
-
 
 class WitnessFactor(Record):
     family: FamilySpec
@@ -320,12 +315,6 @@ class _Pick(Record):
     p: int
     scope: Scope
     kind: StatKind
-
-    def __init__(self, spec: FamilySpec, p: int, scope: Scope, kind: StatKind) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "kind", kind)
 
     @cached_property
     def closed_form(self) -> ClosedFormStats:
