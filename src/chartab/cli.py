@@ -76,8 +76,13 @@ def _parse_family_params(text: str) -> FamilySpec:
 def _fraction(text: str) -> Fraction:
     """An exact fraction argument.  argparse turns only TypeError and
     ValueError from a type function into usage errors, and "1/0" raises
-    ZeroDivisionError."""
+    ZeroDivisionError.  An exponent past the digit limit (0: none) is refused,
+    as a literal that long is, before Fraction computes 10**exponent."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    _, e, exponent = text.lower().partition("e")
     try:
+        if e and limit and abs(int(exponent)) > limit:
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None

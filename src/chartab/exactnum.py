@@ -158,7 +158,6 @@ def totient(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, low degree first.
 

@@ -51,7 +51,6 @@ from chartab.exactnum import (
     ChartabError,
     Record,
     canonicalize,
-    factorize,
     prime_1_mod,
     root_of_unity,
 )
@@ -575,72 +574,32 @@ def dixon_character_table(group: PermGroup) -> CharacterTable:
 # built-in permutation realizations of the table families
 
 
-def _gf2poly_mod(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a and a.bit_length() - 1 >= dm:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
-def _gf2_irreducible(r: int) -> int:
-    # brute force is fine: r stays small and the scan runs once per call;
-    # the least odd polynomial of degree r with no factor of degree <= r/2
-    factors = range(2, 1 << (r // 2 + 1))
-    return next(
-        c for c in range((1 << r) + 1, 1 << (r + 1), 2) if all(_gf2poly_mod(c, f) for f in factors)
-    )
-
-
-def _gf_mul(a: int, b: int, modpoly: int) -> int:
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    return _gf2poly_mod(acc, modpoly)
-
-
-def _gf_pow(a: int, m: int, modpoly: int) -> int:
-    out = 1
-    while m:
-        if m & 1:
-            out = _gf_mul(out, a, modpoly)
-        a = _gf_mul(a, a, modpoly)
-        m >>= 1
-    return out
-
-
 def _psl2_perm_group(r: int) -> PermGroup:
+    """PSL(2, q), q = 2^r, on the projective line: point 0 is infinity and
+    point 1 + a is the field element a.
+
+    The field is GF(2)[x] modulo the least odd polynomial of degree r in
+    which x has order q - 1: every nonzero residue is then a power of x, so
+    the residues form GF(q), with exp[i] = x^i and log its inverse.  The
+    generators are z -> z + 1, z -> 1/z and, for q > 2, z -> x^2 z; squaring
+    is onto, so conjugating the translation by the powers of x^2 reaches
+    every translation.
+    """
     q = 1 << r
-    modpoly = _gf2_irreducible(r)
-
-    def mul(a, b):
-        return _gf_mul(a, b, modpoly)
-
-    def inv(a):
-        return _gf_pow(a, q - 2, modpoly)
-
-    # projective line: point 0 is infinity, point 1 + a is the field element a
-    def moebius(ma, mb, mc, md) -> Perm:
-        image = [0] * (q + 1)
-        image[0] = 0 if mc == 0 else 1 + mul(ma, inv(mc))
-        for elt in range(q):
-            den = mul(mc, elt) ^ md
-            num = mul(ma, elt) ^ mb
-            image[1 + elt] = 0 if den == 0 else 1 + mul(num, inv(den))
-        return tuple(image)
-
-    gens = [moebius(1, 1, 0, 1), moebius(0, 1, 1, 0)]
+    for poly in range(q + 1, 2 * q, 2):
+        exp = [1]
+        for _ in range(q - 2):
+            a = exp[-1] << 1
+            exp.append(a ^ poly if a & q else a)
+        log = {a: i for i, a in enumerate(exp)}
+        if len(log) == q - 1:  # x^0, ..., x^(q-2) are distinct
+            break
+    gens = [
+        (0, *(1 + (a ^ 1) for a in range(q))),
+        (1, 0, *(1 + exp[-log[a] % (q - 1)] for a in range(1, q))),
+    ]
     if q > 2:
-        # the least multiplicative generator; conjugating the translation by
-        # its powers reaches every translation, since squaring is onto
-        primes = factorize(q - 1)
-        gen = next(
-            g for g in range(2, q)
-            if all(_gf_pow(g, (q - 1) // f, modpoly) != 1 for f in primes)
-        )
-        gens.append(moebius(gen, 0, 0, inv(gen)))
+        gens.append((0, 1, *(1 + exp[(log[a] + 2) % (q - 1)] for a in range(1, q))))
     return PermGroup(q + 1, tuple(gens))
 
 

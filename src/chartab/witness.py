@@ -38,7 +38,7 @@ import math
 from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
 from chartab.exactnum import ChartabError, Record
 from chartab.stats import (
@@ -295,11 +295,11 @@ def _scan_sequence(
         k = max(k_a, k_b)
 
 
-def _smallest(start: int, accept: Callable[[int], bool]) -> int:
-    """Smallest p >= start with accept(p), trying at most PARAM_GUARD values."""
+def _smallest(start: int, make: Callable[[int], _Pick], accept: Callable[[_Pick], bool]) -> _Pick:
+    """The first make(p), p >= start, that accept takes; at most PARAM_GUARD tries."""
     for p in range(start, start + PARAM_GUARD):
-        if accept(p):
-            return p
+        if accept(candidate := make(p)):
+            return candidate
     raise WitnessDomainError("parameter scan exceeded its guard; epsilon is too small")
 
 
@@ -468,9 +468,12 @@ def find_witness(kind: StatKind, scope: Scope, target, epsilon) -> Witness:
     eps = query.epsilon
 
     def pick(rule: _Rule) -> _Pick:
-        # cached, so the accepted candidate keeps the closed forms its rule read
-        at = cache(lambda p: _Pick(rule.family(p), p, scope, kind))
-        return at(_smallest(rule.start, lambda p: rule.accept(at(p), eps)))
+        # the accepted candidate keeps the closed forms its rule read
+        return _smallest(
+            rule.start,
+            lambda p: _Pick(rule.family(p), p, scope, kind),
+            lambda candidate: rule.accept(candidate, eps),
+        )
 
     base = None if plan.base is None else pick(plan.base)
     step = pick(plan.step)

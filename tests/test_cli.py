@@ -280,6 +280,45 @@ def test_witness_zero_denominator_is_a_usage_error(capsys, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string digit limit"
+)
+@pytest.mark.parametrize("flag, value", [("--eps", "1e-100000000"), ("--target", "5E+99999999")])
+def test_a_huge_exponent_is_a_usage_error(flag, value):
+    # Fraction would compute 10**100000000 while parsing: run it in a child
+    # process, so that a parse that does not stop fails on the timeout
+    argv = {"--stat": "zI", "--scope": "group", "--target": "1/2", "--eps": "1/10"}
+    argv[flag] = value
+    env = dict(os.environ, PYTHONPATH=str(Path(chartab.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chartab", "witness", *(x for pair in argv.items() for x in pair)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(f"error: argument {flag}: invalid Fraction value: '{value}'\n")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string digit limit"
+)
+def test_the_exponent_limit_follows_the_digit_limit(capsys):
+    parse = _build_parser().parse_args
+    limit = sys.get_int_max_str_digits()
+    argv = ["witness", "--stat", "zI", "--scope", "group", "--target", "1/2", "--eps"]
+    try:
+        sys.set_int_max_str_digits(5000)
+        assert parse([*argv, "1e-5000"]).eps == Fraction(1, 10**5000)
+        with pytest.raises(SystemExit) as exc:
+            parse([*argv, "1e-5001"])
+        assert exc.value.code == 2
+        sys.set_int_max_str_digits(0)  # no limit
+        assert parse([*argv, "1e-5001"]).eps == Fraction(1, 10**5001)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert "invalid Fraction value: '1e-5001'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # scan
 

@@ -1,5 +1,6 @@
 """Permutation-group oracle: classification, Dixon tables, relabeling comparison."""
 
+import hashlib
 import random
 import sys
 
@@ -556,7 +557,7 @@ def test_class_matrices_commute(spec):
 
 
 # ---------------------------------------------------------------------------
-# built-in realizations and the text format
+# built-in realizations
 
 
 def test_builtin_degrees():
@@ -577,6 +578,34 @@ def test_builtin_realizes_the_right_group(spec):
     assert data.group_order == table.group_order
     assert sorted(zip(data.sizes, data.element_orders)) == sorted(
         (c.size, c.element_order) for c in table.classes
+    )
+
+
+# sha256 of repr(PermGroup), recorded from the realization that searched for
+# an irreducible polynomial and a multiplicative generator: the field built
+# from the powers of x must give the same generators on the same labels.
+PSL2_REALIZATION_SHA256 = {
+    1: "22b49dd3b27183405cd02052f41b129f3809106c7a1578a7ccaf71871eec9b45",
+    2: "a1a0d1b2fa9e4a16d78282ed63838941a3a7026fc238d01925977996b41a6102",
+    3: "8313d1741f7c3f64aa47c7cfe3750dea9b10ea4bc3dde3735033f68ba5b7e447",
+    4: "38b39c905ca3da620e8b138e220588ffe81e04a950bf5a15b1bbfcaa12f9b037",
+    5: "fe252d2e6103eebd90fc6880da3faec8d2dd05555de47b4dd797824317b8cadc",
+    6: "f3ed5c886b66b9d9064b01f69417a4bc60d2acc453c9c32b8cb7607bf9268524",
+    7: "db1ed1c23f70308fe917a8f79a7a95b54a9c18a0763c12072379fbe63dfadf65",
+}
+
+
+@pytest.mark.parametrize("r", sorted(PSL2_REALIZATION_SHA256))
+def test_psl2_realization_is_pinned(r):
+    # r = 6 and 7 pass the element limit, so they are built directly
+    group = builtin_perm_group(Psl2Even(r)) if r <= 5 else oracle._psl2_perm_group(r)
+    assert hashlib.sha256(repr(group).encode()).hexdigest() == PSL2_REALIZATION_SHA256[r]
+
+
+def test_psl2_of_2_realization():
+    # z -> z + 1, z -> 1/z and z -> x^2 z on infinity, 0, 1, x, x + 1
+    assert builtin_perm_group(Psl2Even(2)) == PermGroup(
+        5, ((0, 2, 1, 4, 3), (1, 0, 2, 4, 3), (0, 1, 4, 2, 3))
     )
 
 

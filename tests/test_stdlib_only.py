@@ -1,5 +1,5 @@
-"""The package imports nothing outside the standard library, and starting
-it generates no code."""
+"""The package imports nothing outside the standard library, uses every
+name it imports, and starting it generates no code."""
 
 import ast
 import json
@@ -28,6 +28,48 @@ def imported_modules(path: Path) -> set[str]:
 def test_package_imports_only_the_standard_library(path):
     outside = imported_modules(path) - set(sys.stdlib_module_names) - {"chartab"}
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names an import binds that the module never reads nor lists in `__all__`."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return bound - read - exported
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    unused = unused_imports(path.read_text())
+    assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def test_the_import_check_sees_a_leftover():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path as osp, sys\n"
+        "from functools import cache, lru_cache\n"
+        "from chartab.exactnum import factorize, canonicalize\n"
+        "__all__ = ['canonicalize']\n"
+        "@lru_cache\n"
+        "def f(x: osp.PathLike) -> None: ...\n"
+    )
+    assert unused_imports(source) == {"sys", "cache", "factorize"}
 
 
 def test_every_module_is_checked():
