@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import gcd, isqrt, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from chartab.exactnum import (
     ChartabError,
@@ -351,7 +351,8 @@ def _split_subspace(basis, pivots, mat, p):
     basis is in reduced row echelon form, so coordinates of any vector in
     the subspace can be read off its pivot columns.  mat is a class matrix
     as its nonzero (row, col, count) entries; the image of each basis
-    vector costs one pass over them, and its pivot coordinates are a
+    vector is read only at the pivot columns, so it costs one pass over
+    the entries whose row is a pivot column, and those coordinates are a
     column of the d x d restriction.  The eigenvalues of the restriction
     are the roots of its characteristic polynomial, and each eigenvalue,
     ascending, costs one kernel.  Returns a list of (basis, pivots) pieces.
@@ -364,15 +365,19 @@ def _split_subspace(basis, pivots, mat, p):
     invariant under every M_i is again invariant: M_l M_i v = lam M_i v.
     """
     d = len(basis)
+    # only the pivot coordinates of an image are read, so only the entries
+    # in a pivot row are mapped; at[row] is the row's place among the pivots
+    at = {pc: i for i, pc in enumerate(pivots)}
+    read = [(at[row], col, count) for row, col, count in mat if row in at]
     images = []
     for bvec in basis:
-        image = [0] * len(bvec)
-        for row, col, count in mat:
-            image[row] += count * bvec[col]
+        image = [0] * d
+        for i, col, count in read:
+            image[i] += count * bvec[col]
         images.append(image)
     # the transposed restriction: its right eigenvectors give coefficient
     # vectors over the subspace basis
-    transposed = [[image[pc] % p for image in images] for pc in pivots]
+    transposed = [[image[i] % p for image in images] for i in range(d)]
     lam = transposed[0][0]
     if all(transposed[i][j] == (lam if i == j else 0) for i in range(d) for j in range(d)):
         return [(basis, pivots)]  # scalar: the whole subspace is one eigenspace
@@ -460,18 +465,43 @@ def _cyclic_subgroup_classes(data: ClassData):
     return out
 
 
+def _multiplicities(rows: list[list[int]], zeta_inv: int, p: int) -> list[dict[int, int]]:
+    """The transform that lifts a character on a cyclic subgroup <g>.
+
+    Each row holds the residues of chi(g^t), t < o, and zeta_inv is the
+    inverse of a primitive o-th root of unity zeta in F_p; the result maps
+    each j with m_j nonzero to m_j = (1/o) sum_t chi(g^t) zeta^(-jt) mod p,
+    one dict per row.  Kernel row j, the powers zeta^(-jt), is built once,
+    read off the o powers of zeta_inv at j t mod o, and serves every row as
+    one C-level dot product; no o x o matrix is held.
+    """
+    o = len(rows[0])
+    powers = [pow(zeta_inv, t, p) for t in range(o)]
+    o_inverse = pow(o, p - 2, p)
+    out = [{} for _ in rows]
+    for j in range(o):
+        kernel = list(map(powers.__getitem__, map(o.__rmod__, map(j.__mul__, range(o)))))
+        for row, multiplicity in zip(rows, out):
+            m_j = sum(map(mul, row, kernel)) % p * o_inverse % p
+            if m_j:
+                multiplicity[j] = m_j
+    return out
+
+
 def _table_mod(data: ClassData, p: int) -> CharacterTable:
     """The table computed mod Dixon's prime p.
 
     Common eigenvectors of the class matrices give the central characters
     omega, and orthogonality gives each degree.  The lift then runs one
-    transform per conjugacy class of cyclic subgroups <g> of order o: the
-    residues of chi(g^t), t < o, transformed against o-th roots of unity in
-    F_p, are the multiplicities m_j of zeta_o^j in chi(g).  This is the
-    exponent-length transform of the same (o-periodic) sequence, which
-    vanishes off multiples of exponent/o, so nothing is approximated.  A
-    class conjugate to g^a with gcd(a, o) = 1 takes the same multiplicities
-    at j*a mod o.
+    transform per conjugacy class of cyclic subgroups <g> of order o, for
+    every character at once (`_multiplicities`): the residues of chi(g^t),
+    t < o, transformed against o-th roots of unity in F_p, are the
+    multiplicities m_j of zeta_o^j in chi(g).  This is the exponent-length
+    transform of the same (o-periodic) sequence, which vanishes off
+    multiples of exponent/o, so nothing is approximated.  A class conjugate
+    to g^a with gcd(a, o) = 1 takes the same multiplicities at j*a mod o.
+    Each distinct exponent -> multiplicity map is canonicalized once, and
+    the cells it fills share the one value.
     """
     r = data.num_classes
     exponent = data.exponent
@@ -481,19 +511,8 @@ def _table_mod(data: ClassData, p: int) -> CharacterTable:
     size_inverse = [pow(s, p - 2, p) for s in data.sizes]
     order_residue = data.group_order % p
 
-    # any primitive root of unity serves: another one conjugates every
-    # lifted row by one Galois automorphism, which permutes the rows, and
-    # the rows are sorted below
-    zeta_inv = pow(root_of_unity(exponent, p), -1, p)
-    # per subgroup order o: the powers of zeta_o^-1 and the inverse of o
-    lift_constants = {}
-    for seq, _ in cyclic:
-        o = len(seq)
-        if o not in lift_constants:
-            step = pow(zeta_inv, exponent // o, p)
-            lift_constants[o] = ([pow(step, t, p) for t in range(o)], pow(o, p - 2, p))
-
-    rows = []
+    # each character's degree and residue row
+    characters = []
     for v in vectors:
         if v[0] % p == 0:
             raise OracleInconsistencyError(f"an eigenvector vanishes at class 0 mod {p}")
@@ -512,32 +531,35 @@ def _table_mod(data: ClassData, p: int) -> CharacterTable:
         if degree is None:
             raise OracleInconsistencyError(f"a degree has no square root below {p}/2")
         residues = [degree * omega[k] % p * size_inverse[k] % p for k in range(r)]
+        characters.append((degree, residues))
 
-        values = [None] * r
-        for seq, members in cyclic:
-            o = len(seq)
-            zeta_inv_pow, o_inverse = lift_constants[o]
-            powers = [residues[c] for c in seq]
-            multiplicity = {}
-            total = 0
-            for j in range(o):
-                acc = 0
-                for t, x in enumerate(powers):
-                    acc += x * zeta_inv_pow[j * t % o]
-                m_j = acc % p * o_inverse % p
-                if m_j:
-                    multiplicity[j] = m_j
-                    total += m_j
-            if total != degree:
+    # any primitive root of unity serves: another one conjugates every
+    # lifted row by one Galois automorphism, which permutes the rows, and
+    # the rows are sorted below
+    zeta_inv = pow(root_of_unity(exponent, p), -1, p)
+    rows = [(degree, [None] * r) for degree, _ in characters]
+    lifted = {}  # exponent -> multiplicity map, as a frozenset, to its value
+    for seq, members in cyclic:
+        o = len(seq)
+        stride = exponent // o
+        transforms = _multiplicities(
+            [list(map(residues.__getitem__, seq)) for _, residues in characters],
+            pow(zeta_inv, stride, p),
+            p,
+        )
+        for (degree, values), multiplicity in zip(rows, transforms):
+            if sum(multiplicity.values()) != degree:
                 raise OracleInconsistencyError(f"multiplicities miss the degree mod {p}")
-            stride = exponent // o
             for k, a in members:
-                values[k] = canonicalize(
-                    exponent, {j * a % o * stride: m for j, m in multiplicity.items()}
-                )
+                raw = {j * a % o * stride: m for j, m in multiplicity.items()}
+                key = frozenset(raw.items())
+                value = lifted.get(key)
+                if value is None:
+                    value = lifted[key] = canonicalize(exponent, raw)
+                values[k] = value
+    for degree, values in rows:
         if not values[0].is_rational or values[0].as_rational() != degree:
             raise OracleInconsistencyError(f"a lifted degree is not the degree mod {p}")
-        rows.append((degree, values))
 
     rows.sort(key=lambda item: (item[0], tuple(v.key() for v in item[1])))
     classes = tuple(

@@ -55,6 +55,7 @@ from chartab.exactnum import (
     Record,
     canonicalize,
     factorize,
+    is_prime,
     prime_1_mod,
     residues,
     root_of_unity,
@@ -104,13 +105,22 @@ class CharacterTable(Record):
     def __post_init__(self) -> None:
         first: dict[tuple, int] = {}
         merged = [first.setdefault(v.key(), i) for i, v in enumerate(self.palette)]
+        # first-use order is fixed once every distinct key has a place, so
+        # the cells past that point are never read; a row that brings no
+        # new index is passed over by one C-level subset test
         order: dict[int, int] = {}
-        for i in dict.fromkeys(chain.from_iterable(self.rows)):
-            order.setdefault(merged[i], len(order))
+        seen: set[int] = set()
+        for row in self.rows:
+            if len(order) == len(first):
+                break
+            if not seen.issuperset(row):
+                for i in dict.fromkeys(row):
+                    if i not in seen:
+                        seen.add(i)
+                        order.setdefault(merged[i], len(order))
         index = [order.get(m) for m in merged]
         if index == list(range(len(index))):
-            # already canonical, as the generators emit it unless a prime
-            # q -+ 1 leaves a PSL(2, q) value unused: keep the indices
+            # already canonical, as the generators emit it: keep the indices
             object.__setattr__(self, "palette", tuple(self.palette))
             object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
             return
@@ -342,7 +352,8 @@ def _cosine_rows(
 ) -> list[tuple[int, ...]]:
     """Rows ``h = 1 .. (c - 1) // 2`` for ``c = conductor``: row ``h`` holds
     ``sign * (zeta_c**(h*k) + zeta_c**(-h*k))`` on each residue ``k`` of
-    ``columns`` (``0 .. c // 2`` in some order), then the indices ``tail``.
+    ``columns`` (``0 .. c // 2`` in some order; residue 0 may be left out
+    when ``c`` is prime, as no gather reaches it), then the indices ``tail``.
     Row 1's values join ``palette`` in column order, so row 1 is a run.
 
     Every other row is one gather and no Python step per cell: row ``h``
@@ -450,7 +461,9 @@ def extraspecial2_table(n: int) -> CharacterTable:
     and never per cell: if ``S_d[w][v] = (-1)**(w . v)`` over ``d`` bits,
     then adding a top bit ``b`` to ``w`` and ``c`` to ``v`` multiplies the
     sign by ``(-1)**(b c)``, so ``S_(d+1)`` is ``[[S_d, S_d], [S_d, -S_d]]``:
-    row ``s`` of ``S_d`` becomes ``s + s`` and ``s + flip(s)``.  Column
+    row ``s`` of ``S_d`` becomes ``s + s`` and ``s + flip(s)``.  The
+    negated rows double alongside, ``flip(s + s) = flip(s) + flip(s)`` and
+    ``flip(s + flip(s)) = flip(s) + s``, so no cell is mapped.  Column
     ``v = 0`` of ``S_(2n)`` is the class ``z``, on which every linear
     character is 1.
     """
@@ -464,10 +477,15 @@ def extraspecial2_table(n: int) -> CharacterTable:
     deg = Cyclotomic.from_rational(2**n)
     palette = (Cyclotomic.one(), Cyclotomic.from_rational(-1), deg, -deg, Cyclotomic.zero())
     ONE, NEG, DEG, NEG_DEG, ZERO = range(5)
-    signs = [(ONE,)]
-    for _ in range(dim):
-        flipped = [tuple(map((NEG, ONE).__getitem__, s)) for s in signs]
-        signs = [s + s for s in signs] + [s + f for s, f in zip(signs, flipped)]
+
+    def double(rows, negated):
+        return [s + s for s in rows] + [s + f for s, f in zip(rows, negated)]
+
+    # the negated rows double alongside: -(s + s) = f + f, -(s + f) = f + s
+    signs, flips = [(ONE,)], [(NEG,)]
+    for _ in range(dim - 1):
+        signs, flips = double(signs, flips), double(flips, signs)
+    signs = double(signs, flips)
     names = [f"lin{w:0{dim}b}" for w in range(2**dim)]
     rows = [(ONE,) + s for s in signs]
     names.append("faithful")
@@ -516,18 +534,24 @@ def psl2_even_table(r: int) -> CharacterTable:
         (ONE,) * (q + 1),
         (STEINBERG, ZERO) + (ONE,) * n_split + (NEG,) * n_nonsplit,
     ]
-    # residue 0 rides last in the gathers (a prime multiplier can reach it); row[:-1] drops it
+
+    def series(c: int, sign: int, count: int) -> list[tuple[int, ...]]:
+        # residue 0 rides last in the gathers of a composite c, where a prime
+        # multiplier reaches it, and row[:count] drops it; a prime c never
+        # reaches it, so its value 2 * sign stays out of the palette
+        zero = (0,) if c > 1 and not is_prime(c) else ()
+        columns = (*range(1, count + 1), *zero)
+        return [row[:count] for row in _cosine_rows(c, sign, palette, columns, ())]
+
     names.extend(f"principal{j}" for j in range(1, n_split + 1))
     rows.extend(
-        (PRINCIPAL, ONE) + row[:-1] + (ZERO,) * n_nonsplit
-        for row in _cosine_rows(q - 1, 1, palette, (*range(1, n_split + 1), 0), ())
+        (PRINCIPAL, ONE) + row + (ZERO,) * n_nonsplit for row in series(q - 1, 1, n_split)
     )
     DISCRETE = len(palette)
     palette.append(Cyclotomic.from_rational(q - 1))
     names.extend(f"discrete{m}" for m in range(1, n_nonsplit + 1))
     rows.extend(
-        (DISCRETE, NEG) + (ZERO,) * n_split + row[:-1]
-        for row in _cosine_rows(q + 1, -1, palette, (*range(1, n_nonsplit + 1), 0), ())
+        (DISCRETE, NEG) + (ZERO,) * n_split + row for row in series(q + 1, -1, n_nonsplit)
     )
 
     return CharacterTable(

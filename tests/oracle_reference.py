@@ -86,6 +86,25 @@ def reference_split_subspace(basis, pivots, mat, p):
     return pieces
 
 
+def reference_multiplicities(powers, zeta_inv: int, p: int) -> dict[int, int]:
+    """The lift of one character on a cyclic subgroup, by the direct loop
+    the oracle ran per character: m_j = (1/o) sum_t powers[t] zeta^(-jt)
+    mod p for each j < o, kept where nonzero; zeta_inv is the inverse of a
+    primitive o-th root of unity zeta mod p."""
+    o = len(powers)
+    zeta_inv_pow = [pow(zeta_inv, t, p) for t in range(o)]
+    o_inverse = pow(o, p - 2, p)
+    multiplicity = {}
+    for j in range(o):
+        acc = 0
+        for t, x in enumerate(powers):
+            acc += x * zeta_inv_pow[j * t % o]
+        m_j = acc % p * o_inverse % p
+        if m_j:
+            multiplicity[j] = m_j
+    return multiplicity
+
+
 def reference_eigenvalues(mat, p):
     """The eigenvalues of a square matrix mod p, ascending, by a lambda scan."""
     d = len(mat)

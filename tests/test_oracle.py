@@ -6,10 +6,14 @@ import sys
 
 import pytest
 from compare_reference import reference_compare_tables
-from oracle_reference import reference_character_table, reference_eigenvalues
+from oracle_reference import (
+    reference_character_table,
+    reference_eigenvalues,
+    reference_multiplicities,
+)
 
 from chartab import oracle, tables
-from chartab.exactnum import factorize
+from chartab.exactnum import factorize, root_of_unity
 from chartab.oracle import (
     GroupTooLargeError,
     OracleInconsistencyError,
@@ -18,6 +22,7 @@ from chartab.oracle import (
     _cyclic_subgroup_classes,
     _eigenvalues,
     _mul,
+    _multiplicities,
     builtin_perm_group,
     compare_tables,
     dixon_character_table,
@@ -306,6 +311,39 @@ def test_a_scalar_restriction_is_not_split(monkeypatch, spec, calls):
     table = dixon_character_table(builtin_perm_group(spec))
     assert compare_tables(table, build_table(spec))
     assert len(made) == calls
+
+
+@pytest.mark.parametrize(
+    "o, p",
+    [*((1 << e, 257) for e in range(9)), *((o, 127) for o in (1, 3, 7, 9, 21, 63)),
+     *((o, 131) for o in (5, 13, 65))],
+)
+def test_batched_multiplicities_match_the_direct_loop(o, p):
+    # one kernel row per j serves every character; the direct loop ran the
+    # transform once per character.  127 = 1 mod 63 and 131 = 1 mod 65
+    rng = random.Random(o * p)
+    rows = [[rng.randrange(p) for _ in range(o)] for _ in range(4)]
+    rows.append([0] * o)
+    zeta_inv = pow(root_of_unity(o, p), -1, p)
+    expected = [reference_multiplicities(row, zeta_inv, p) for row in rows]
+    assert _multiplicities(rows, zeta_inv, p) == expected
+
+
+@pytest.mark.parametrize(
+    "spec", [Extraspecial2(3), Dihedral(6), Psl2Even(4), Psl2Even(5)], ids=repr
+)
+def test_the_lift_canonicalizes_each_distinct_value_once(monkeypatch, spec):
+    # one canonicalize per distinct exponent -> multiplicity map, not one
+    # per cell (4,225 cells on extraspecial2(3)); equal maps share a value
+    calls, real = [], oracle.canonicalize
+
+    def counted(conductor, coeffs):
+        calls.append(conductor)
+        return real(conductor, coeffs)
+
+    monkeypatch.setattr(oracle, "canonicalize", counted)
+    table = dixon_character_table(builtin_perm_group(spec))
+    assert len(calls) <= 2 * len(table.palette)
 
 
 def test_eigenvalues_match_a_lambda_scan():

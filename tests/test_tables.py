@@ -761,12 +761,13 @@ def test_constructor_merges_equal_values_and_drops_unused():
 
 @pytest.mark.parametrize(
     "spec",
-    [*map(Dihedral, range(2, 10)), *map(Extraspecial2, range(1, 5)), *map(Psl2Even, (6, 9, 10))],
+    [*map(Dihedral, range(2, 10)), *map(Extraspecial2, range(1, 5)), *map(Psl2Even, range(2, 11))],
     ids=repr,
 )
 def test_generators_hand_the_constructor_a_canonical_table(spec, monkeypatch):
     # the constructor keeps the indices of a canonical table and re-indexes
-    # every cell of any other
+    # every cell of any other.  Psl2Even(1) is left out: q = 2 has no
+    # principal series, so its palette keeps the unused degree q + 1 = 3
     seen = []
     construct = CharacterTable.__post_init__
 
@@ -781,11 +782,9 @@ def test_generators_hand_the_constructor_a_canonical_table(spec, monkeypatch):
     assert seen == [True]
 
 
-@pytest.mark.parametrize("build", [dihedral_table, extraspecial2_table])
-def test_canonical_table_equals_its_shuffled_duplicated_rebuild(build):
-    t = build(4)  # these generators emit canonical order, so nothing is renumbered
-    # the same cells over a shuffled palette with a copy of every value and
-    # an unused one
+def _shuffled_duplicated(t: CharacterTable) -> tuple[tuple, tuple]:
+    """The cells of t over a shuffled palette with a copy of every value and
+    an unused one, as (palette, rows)."""
     rng = random.Random(5)
     slots = list(range(2 * len(t.palette))) + [2 * len(t.palette)]
     rng.shuffle(slots)
@@ -796,8 +795,44 @@ def test_canonical_table_equals_its_shuffled_duplicated_rebuild(build):
     rows = tuple(
         tuple(slots[i + rng.choice((0, len(t.palette)))] for i in row) for row in t.rows
     )
+    return tuple(palette), rows
+
+
+@pytest.mark.parametrize("build", [dihedral_table, extraspecial2_table])
+def test_canonical_table_equals_its_shuffled_duplicated_rebuild(build):
+    t = build(4)  # these generators emit canonical order, so nothing is renumbered
     again = CharacterTable(t.group_name, t.group_order, t.classes, t.character_names,
-                           tuple(palette), rows)
+                           *_shuffled_duplicated(t))
     assert again == t
     assert [v.key() for v in again.palette] == [v.key() for v in t.palette]
+
+
+def _full_scan_canonical(palette, rows) -> tuple[list[tuple], tuple]:
+    """The canonical (palette keys, rows) of any palette and index rows,
+    with every cell read: equal keys merge, unused values drop, and the
+    rest are numbered in row-major first-use order."""
+    first = {}
+    merged = [first.setdefault(v.key(), i) for i, v in enumerate(palette)]
+    order = {}
+    for i in dict.fromkeys(chain.from_iterable(rows)):
+        order.setdefault(merged[i], len(order))
+    index = [order.get(m) for m in merged]
+    return [palette[m].key() for m in order], tuple(tuple(index[i] for i in row) for row in rows)
+
+
+@pytest.mark.parametrize("make", REPRESENTED.values(), ids=REPRESENTED.keys())
+def test_constructor_matches_a_full_scan(make):
+    # the constructor stops reading cells once every distinct key has a
+    # place; a palette of one entry per cell stops early, and one with an
+    # unused value is read to the end
+    t = make()
+    cells = tuple(chain.from_iterable(t.characters))
+    ends = range(t.num_classes, len(cells) + 1, t.num_classes)
+    per_cell = (cells, tuple(range(end - t.num_classes, end) for end in ends))
+    for palette, rows in (per_cell, _shuffled_duplicated(t)):
+        built = CharacterTable(t.group_name, t.group_order, t.classes, t.character_names,
+                               palette, rows)
+        keys, expected = _full_scan_canonical(palette, rows)
+        assert [v.key() for v in built.palette] == keys
+        assert built.rows == expected
 
