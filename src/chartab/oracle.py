@@ -26,13 +26,18 @@ as orbits, never element by element.  Class matrix i takes |K_i| r
 products, is kept as its nonzero entries (about r of its r^2 on the
 2-groups), and is built only when the split first reaches class i; the
 split stops once every space is one-dimensional.  An eigenspace split of
-a d-dimensional subspace reads the eigenvalues off the characteristic
+a d-dimensional subspace maps its basis through the class-matrix entries
+in its d pivot rows only, reads the eigenvalues off the characteristic
 polynomial of the d x d restriction (O(d^3), then O(p d) to find the
 roots in F_p) and runs one kernel per eigenvalue; the class matrices
 commute, so no split re-checks invariance.
 The lift runs once per conjugacy class of cyclic subgroups, as a
-transform of length o = the order of its generator, O(o^2) per character;
-the classes of the powers g^t it reads are found by multiplying the
+transform of length o = the order of its generator for all r characters
+at once: each of its o kernel rows is built once and held alone, and
+each multiplicity is one C-level dot product, O(o^2) multiplications per
+character.  Each distinct exponent -> multiplicity map is canonicalized
+once, not once per cell, and its cells share the value.  The classes of
+the powers g^t the lift reads are found by multiplying the
 representative g, o - 1 permutation products.
 
 `compare_tables` decides whether two tables differ only by relabeling of
