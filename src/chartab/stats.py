@@ -36,9 +36,8 @@ from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain, groupby
 from math import gcd
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from chartab.exactnum import Cyclotomic, Rational, Record, ValueClass, classify_value
 from chartab.tables import (
@@ -50,6 +49,7 @@ from chartab.tables import (
     InvalidParameterError,
     Product,
     Psl2Even,
+    TableHead,
     TableTooLargeError,
     count_past,
     log2_floor,
@@ -139,21 +139,29 @@ def _record(z_elem, z_class, u_elem, u_class) -> StatRecord:
     return StatRecord(Fraction(z_elem), Fraction(z_class), Fraction(u_elem), Fraction(u_class))
 
 
-def _histogram(t: CharacterTable, rows) -> list[tuple[Cyclotomic, int, int]]:
+def _histogram(t: CharacterTable | TableHead, rows) -> list[tuple[Cyclotomic, int, int]]:
     """(value, cells, class-size sum) per palette entry the rows use, in
-    palette order.
+    palette order, in one pass over any iterable of index rows.
 
-    Each run of equal class sizes (a family has two to four; a product
-    interleaves its factors' sizes into more, shorter runs) is one slice of
-    every row, counted in one `Counter` pass that runs in C; Python works
-    once per (run, palette entry) pair, never per cell."""
+    The columns of one class size (two to four per family, each one run; a
+    product has more) are one gather of every row, counted into the size's
+    `Counter` row by row, in C: Python never works per cell."""
+    by_size: dict[int, list[int]] = {}
+    for j, c in enumerate(t.classes):
+        by_size.setdefault(c.size, []).append(j)
+    # a run is a slice: fast, and a tuple even of one column, where itemgetter(j) is the cell
+    gathers = [
+        (itemgetter(*js) if js[-1] - js[0] >= len(js) else itemgetter(slice(js[0], js[-1] + 1)),
+         Counter(), size)
+        for size, js in by_size.items()
+    ]
+    for row in rows:
+        for gather, counter, _ in gathers:
+            counter.update(gather(row))
     cells = [0] * len(t.palette)
     elems = [0] * len(t.palette)
-    end = 0
-    for size, run in groupby(map(attrgetter("size"), t.classes)):
-        start, end = end, end + len(list(run))
-        counts = Counter(chain.from_iterable(map(itemgetter(slice(start, end)), rows)))
-        for x, n in counts.items():
+    for _, counter, size in gathers:
+        for x, n in counter.items():
             cells[x] += n
             elems[x] += n * size
     return [(v, n, m) for v, n, m in zip(t.palette, cells, elems) if n]
@@ -162,11 +170,12 @@ def _histogram(t: CharacterTable, rows) -> list[tuple[Cyclotomic, int, int]]:
 Counts = tuple[int, int, tuple[tuple[Cyclotomic, int, int], ...]]
 
 
-def count_factor(t: CharacterTable, rows: Sequence[Sequence[int]]) -> Counts:
-    """One factor of `product_stats`, counted: (pairs, cells, entries), with
-    pairs = |G| * |rows|, cells = classes * |rows|, and entries the rows'
-    `_histogram`.  It holds no reference to the table."""
-    return t.group_order * len(rows), t.num_classes * len(rows), tuple(_histogram(t, rows))
+def count_factor(t: CharacterTable | TableHead, rows: Iterable[Sequence[int]]) -> Counts:
+    """One factor of `product_stats`: (pairs, cells, entries), entries the
+    `_histogram` of a table's or a stream's rows, pairs and cells its sums
+    (|G| and the class count per row).  It keeps no table and no row."""
+    entries = tuple(_histogram(t, rows))
+    return sum(m for _, _, m in entries), sum(n for _, n, _ in entries), entries
 
 
 def fold_counts(counted: Iterable[Counts]) -> StatRecord:

@@ -19,12 +19,12 @@ Class ordering in each generator follows the construction given in its
 docstring; the identity class always comes first.  Generated tables carry
 values in the conductor of their construction (a power of two for the
 2-groups, ``q - 1`` and ``q + 1`` for the split and nonsplit torus values),
-never shrunk to the minimal field.  Every cosine row (a dihedral planar
-character, a PSL principal or discrete series) is one `itemgetter` gather
-of an earlier row by `_cosine_rows`.
+never shrunk to the minimal field.  A single family's generator is a row
+stream (`stream_table`); each cosine row in it (a dihedral planar or a PSL
+series character) is one `itemgetter` gather of an earlier row.
 
 ``FAMILIES`` holds one record per single family (kind name, parameter
-name, generator, class count, group order); the spec functions and
+name, row stream, class count, group order); the spec functions and
 ``build_table`` read it, so a family fact is stated once.
 
 ``validate_table`` checks the defining exact relations (class equation,
@@ -43,8 +43,8 @@ its factors', so no count is built to be refused.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from collections.abc import Callable, Sequence
+from collections import Counter, deque
+from collections.abc import Callable, Iterator, Sequence
 from itertools import accumulate, chain
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
@@ -81,6 +81,26 @@ class ClassInfo(Record):
     name: str
     size: int
     element_order: int
+
+
+class TableHead(Record):
+    """A table without its rows.  A row stream (`stream_table`) is a head
+    and its (character name, index row) pairs, indexing ``palette``."""
+
+    group_name: str
+    group_order: int
+    classes: tuple[ClassInfo, ...]
+    character_names: tuple[str, ...]
+    palette: tuple[Cyclotomic, ...]
+
+    def character_index(self, name: str) -> int:
+        for i, c in enumerate(self.character_names):
+            if c == name:
+                return i
+        raise MalformedTableError(f"{self.group_name}: no character named {name!r}")
+
+
+TableStream = tuple[TableHead, Iterator[tuple[str, tuple[int, ...]]]]
 
 
 class CharacterTable(Record):
@@ -172,11 +192,7 @@ class CharacterTable(Record):
                 return i
         raise MalformedTableError(f"{self.group_name}: no class named {name!r}")
 
-    def character_index(self, name: str) -> int:
-        for i, c in enumerate(self.character_names):
-            if c == name:
-                return i
-        raise MalformedTableError(f"{self.group_name}: no character named {name!r}")
+    character_index = TableHead.character_index  # it reads only the head's fields
 
     def to_json(self) -> dict:
         rendered = [v.to_json() for v in self.palette]
@@ -245,11 +261,11 @@ FamilySpec = Dihedral | Extraspecial2 | Psl2Even | Product
 class Family(Record):
     """What the package knows of a single family, as functions of its
     parameter: the class count and the group order, each with its
-    floor(log2) read off the parameter, and the table generator."""
+    floor(log2) read off the parameter, and the table's row stream."""
 
     kind: str  # the name the CLI and JSON use
     param: str
-    generate: Callable[[int], "CharacterTable"]
+    stream: Callable[[int], TableStream]
     class_count: Callable[[int], int]
     class_count_log2: Callable[[int], int]
     group_order: Callable[[int], int]
@@ -308,12 +324,21 @@ def check_table_guard(spec: FamilySpec) -> None:
     _check_class_count("table", log2_floor(spec), lambda: spec_class_count(spec))
 
 
+def stream_table(spec: FamilySpec) -> TableStream:
+    """A single family's table head and a lazy stream of its (character
+    name, index row) pairs, which holds a row only until the rows made from
+    it are made.  The class guard runs before this returns."""
+    family, value = single_family(spec)
+    return family.stream(value)
+
+
 def build_table(spec: FamilySpec) -> CharacterTable:
-    """The generated table of a family spec.
+    """The generated table of a family spec; a single family's is its row
+    stream (`stream_table`), ordered by the head's character names.
 
     Every spec is checked against the class-count guard before anything is
     built, so an oversized request fails fast instead of exhausting memory:
-    a product here, before any factor, and a single family by its generator.
+    a product here, before any factor, and a single family by its stream.
     """
     if isinstance(spec, Product):
         check_table_guard(spec)
@@ -323,8 +348,12 @@ def build_table(spec: FamilySpec) -> CharacterTable:
         for f in spec.factors[1:]:
             table = product_table(table, build_table(f))
         return table
-    family, value = single_family(spec)
-    return family.generate(value)
+    head, pairs = stream_table(spec)
+    rows = dict(pairs)
+    return CharacterTable(
+        head.group_name, head.group_order, head.classes, head.character_names,
+        head.palette, tuple(map(rows.__getitem__, head.character_names)),
+    )
 
 
 def _check_positive(value: int, name: str) -> None:
@@ -349,12 +378,13 @@ def trivial_table() -> CharacterTable:
 
 def _cosine_rows(
     conductor: int, sign: int, palette: list[Cyclotomic], columns: Sequence[int], tail: tuple
-) -> list[tuple[int, ...]]:
-    """Rows ``h = 1 .. (c - 1) // 2`` for ``c = conductor``: row ``h`` holds
-    ``sign * (zeta_c**(h*k) + zeta_c**(-h*k))`` on each residue ``k`` of
-    ``columns`` (``0 .. c // 2`` in some order; residue 0 may be left out
-    when ``c`` is prime, as no gather reaches it), then the indices ``tail``.
-    Row 1's values join ``palette`` in column order, so row 1 is a run.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The pairs ``(h, row h)`` for ``h = 1 .. (c - 1) // 2``, ``c =
+    conductor``, in walk order: row ``h`` holds ``sign * (zeta_c**(h*k) +
+    zeta_c**(-h*k))`` on each residue ``k`` of ``columns`` (``0 .. c // 2``
+    in some order; residue 0 may be left out when ``c`` is prime, as no
+    gather reaches it), then the indices ``tail``.  Row 1's values join
+    ``palette`` in column order before the call returns, so row 1 is a run.
 
     Every other row is one gather and no Python step per cell: row ``h``
     depends on ``h`` up to sign mod ``c``, so row ``m*h`` is row ``h`` read
@@ -363,7 +393,9 @@ def _cosine_rows(
     unit generators and the primes of ``c``.  Every ``h`` is ``gcd(h, c)``
     times a unit, so a walk from row 1 by units, then primes, reaches row
     ``h``; each row ``x`` on the way has ``gcd(x, c)`` dividing ``gcd(h,
-    c)``, so it is neither 0 nor ``c / 2`` when ``0 < 2h < c``.
+    c)``, so it is neither 0 nor ``c / 2`` when ``0 < 2h < c``.  A row is
+    passed on once its gathers have run, breadth-first: at most 10 of 1023
+    rows wait for conductor 2048 (338 depth-first), 288 of 2047 for 4095.
     """
     c = conductor
     start = len(palette)
@@ -376,18 +408,23 @@ def _cosine_rows(
         (m, itemgetter(*[column[min(m * k % c, -m * k % c)] for k in columns], *fixed))
         for m in steps
     ]
-    rows = {1: tuple(range(start, start + len(columns))) + tail}
-    walk = [1]
-    for h in walk:
-        for m, gather in gathers:
-            x = min(m * h % c, -m * h % c)
-            if 0 < 2 * x < c and x not in rows:
-                rows[x] = gather(rows[h])
-                walk.append(x)
-    return [rows[h] for h in range(1, (c + 1) // 2)]
+
+    def walk():
+        first = tuple(range(start, start + len(columns))) + tail
+        reached, waiting = {1}, deque([(1, first)] if c > 2 else ())  # no row when c <= 2
+        while waiting:
+            h, row = waiting.popleft()
+            for m, gather in gathers:
+                x = min(m * h % c, -m * h % c)
+                if 0 < 2 * x < c and x not in reached:
+                    reached.add(x)
+                    waiting.append((x, gather(row)))
+            yield h, row
+
+    return walk()
 
 
-def dihedral_table(n: int) -> CharacterTable:
+def dihedral_rows(n: int) -> TableStream:
     """Dihedral group of order ``2**(n+1)``: rotations of order ``2**n`` plus
     reflections.
 
@@ -431,20 +468,14 @@ def dihedral_table(n: int) -> CharacterTable:
     # e = rot / 4 gives the reflections' zero.  Row rot1 meets the cosines
     # first, in class order, so that order builds the palette canonical (n >= 2).
     zero = len(palette) + rot_exponents.index(rot // 4)
-    names.extend(f"rot{h}" for h in range(1, half))
-    rows.extend(_cosine_rows(rot, 1, palette, rot_exponents, (zero, zero)))
+    planar = _cosine_rows(rot, 1, palette, rot_exponents, (zero, zero))
+    names = (*names, *(f"rot{h}" for h in range(1, half)))
 
-    return CharacterTable(
-        group_name=f"dihedral({n})",
-        group_order=order,
-        classes=tuple(classes),
-        character_names=tuple(names),
-        palette=tuple(palette),
-        rows=tuple(rows),
-    )
+    head = TableHead(f"dihedral({n})", order, tuple(classes), names, tuple(palette))
+    return head, chain(zip(names, rows), ((f"rot{h}", row) for h, row in planar))
 
 
-def extraspecial2_table(n: int) -> CharacterTable:
+def extraspecial2_rows(n: int) -> TableStream:
     """Extraspecial group of order ``2**(2n+1)``, central product of ``n``
     dihedral groups of order 8.
 
@@ -457,13 +488,13 @@ def extraspecial2_table(n: int) -> CharacterTable:
     value ``(-1)**(w . v)``, and the single faithful character of degree
     ``2**n`` supported on the center.
 
-    The linear rows are the Sylvester-Hadamard matrix, built by doubling
-    and never per cell: if ``S_d[w][v] = (-1)**(w . v)`` over ``d`` bits,
+    The linear rows are the Sylvester-Hadamard matrix ``S_(2n)``, never
+    built per cell: if ``S_d[w][v] = (-1)**(w . v)`` over ``d`` bits,
     then adding a top bit ``b`` to ``w`` and ``c`` to ``v`` multiplies the
-    sign by ``(-1)**(b c)``, so ``S_(d+1)`` is ``[[S_d, S_d], [S_d, -S_d]]``:
-    row ``s`` of ``S_d`` becomes ``s + s`` and ``s + flip(s)``.  The
-    negated rows double alongside, ``flip(s + s) = flip(s) + flip(s)`` and
-    ``flip(s + flip(s)) = flip(s) + s``, so no cell is mapped.  Column
+    sign by ``(-1)**(b c)``, so ``S_(d+1)`` is ``[[S_d, S_d], [S_d, -S_d]]``
+    and ``S_n`` and its negation are built by doubling.  Row ``w + 2**n u``
+    of ``S_(2n)``, made when the stream reaches it, joins row ``w`` of
+    ``S_n`` or its negation as row ``u`` of ``S_n`` holds 1 or -1.  Column
     ``v = 0`` of ``S_(2n)`` is the class ``z``, on which every linear
     character is 1.
     """
@@ -483,25 +514,21 @@ def extraspecial2_table(n: int) -> CharacterTable:
 
     # the negated rows double alongside: -(s + s) = f + f, -(s + f) = f + s
     signs, flips = [(ONE,)], [(NEG,)]
-    for _ in range(dim - 1):
+    for _ in range(n):
         signs, flips = double(signs, flips), double(flips, signs)
-    signs = double(signs, flips)
-    names = [f"lin{w:0{dim}b}" for w in range(2**dim)]
-    rows = [(ONE,) + s for s in signs]
-    names.append("faithful")
-    rows.append((DEG, NEG_DEG) + (ZERO,) * (2**dim - 1))
-
-    return CharacterTable(
-        group_name=f"extraspecial2({n})",
-        group_order=2 ** (2 * n + 1),
-        classes=tuple(classes),
-        character_names=tuple(names),
-        palette=palette,
-        rows=tuple(rows),
+    # (s, f)[ONE] is s and (s, f)[NEG] is f
+    linear = (
+        (ONE,) + tuple(chain.from_iterable(map(pair.__getitem__, u)))
+        for u in signs for pair in zip(signs, flips)
     )
+    faithful = (DEG, NEG_DEG) + (ZERO,) * (2**dim - 1)
+    names = (*(f"lin{w:0{dim}b}" for w in range(2**dim)), "faithful")
+
+    head = TableHead(f"extraspecial2({n})", 2 ** (2 * n + 1), tuple(classes), names, palette)
+    return head, zip(names, chain(linear, [faithful]))
 
 
-def psl2_even_table(r: int) -> CharacterTable:
+def psl2_even_rows(r: int) -> TableStream:
     """PSL(2, q) for ``q = 2**r`` on its classical class list.
 
     Classes, in order: identity; the involution class of size ``q**2 - 1``;
@@ -530,50 +557,49 @@ def psl2_even_table(r: int) -> CharacterTable:
     palette = list(map(Cyclotomic.from_rational, (1, q, 0, -1, q + 1)))
     ONE, STEINBERG, ZERO, NEG, PRINCIPAL = range(5)
     names = ["trivial", "steinberg"]
-    rows = [
-        (ONE,) * (q + 1),
-        (STEINBERG, ZERO) + (ONE,) * n_split + (NEG,) * n_nonsplit,
-    ]
+    rows = [(ONE,) * (q + 1), (STEINBERG, ZERO) + (ONE,) * n_split + (NEG,) * n_nonsplit]
 
-    def series(c: int, sign: int, count: int) -> list[tuple[int, ...]]:
+    def series(c: int, sign: int, count: int, name: str, left: tuple, right: tuple):
         # residue 0 rides last in the gathers of a composite c, where a prime
         # multiplier reaches it, and row[:count] drops it; a prime c never
         # reaches it, so its value 2 * sign stays out of the palette
         zero = (0,) if c > 1 and not is_prime(c) else ()
         columns = (*range(1, count + 1), *zero)
-        return [row[:count] for row in _cosine_rows(c, sign, palette, columns, ())]
+        cosines = _cosine_rows(c, sign, palette, columns, ())
+        names.extend(f"{name}{h}" for h in range(1, count + 1))
+        return ((f"{name}{h}", left + row[:count] + right) for h, row in cosines)
 
-    names.extend(f"principal{j}" for j in range(1, n_split + 1))
-    rows.extend(
-        (PRINCIPAL, ONE) + row + (ZERO,) * n_nonsplit for row in series(q - 1, 1, n_split)
-    )
+    principal = series(q - 1, 1, n_split, "principal", (PRINCIPAL, ONE), (ZERO,) * n_nonsplit)
     DISCRETE = len(palette)
     palette.append(Cyclotomic.from_rational(q - 1))
-    names.extend(f"discrete{m}" for m in range(1, n_nonsplit + 1))
-    rows.extend(
-        (DISCRETE, NEG) + (ZERO,) * n_split + row for row in series(q + 1, -1, n_nonsplit)
-    )
+    discrete = series(q + 1, -1, n_nonsplit, "discrete", (DISCRETE, NEG) + (ZERO,) * n_split, ())
 
-    return CharacterTable(
-        group_name=f"psl2even({r})",
-        group_order=order,
-        classes=tuple(classes),
-        character_names=tuple(names),
-        palette=tuple(palette),
-        rows=tuple(rows),
-    )
+    head = TableHead(f"psl2even({r})", order, tuple(classes), tuple(names), tuple(palette))
+    return head, chain(zip(names[:2], rows), principal, discrete)
+
+
+def dihedral_table(n: int) -> CharacterTable:
+    return build_table(Dihedral(n))
+
+
+def extraspecial2_table(n: int) -> CharacterTable:
+    return build_table(Extraspecial2(n))
+
+
+def psl2_even_table(r: int) -> CharacterTable:
+    return build_table(Psl2Even(r))
 
 
 # One record per single family; the spec class is the key.
 FAMILIES: dict[type, Family] = {
-    # kind, parameter, generator; class count and its floor(log2); order and its floor(log2)
-    Dihedral: Family("dihedral", "n", dihedral_table,
+    # kind, parameter, row stream; class count and its floor(log2); order and its floor(log2)
+    Dihedral: Family("dihedral", "n", dihedral_rows,
                      lambda n: (1 << (n - 1)) + 3, lambda n: max(n - 1, 2),
                      lambda n: 1 << (n + 1), lambda n: n + 1),
-    Extraspecial2: Family("extraspecial2", "n", extraspecial2_table,
+    Extraspecial2: Family("extraspecial2", "n", extraspecial2_rows,
                           lambda n: (1 << (2 * n)) + 1, lambda n: 2 * n,
                           lambda n: 1 << (2 * n + 1), lambda n: 2 * n + 1),
-    Psl2Even: Family("psl2even", "r", psl2_even_table,
+    Psl2Even: Family("psl2even", "r", psl2_even_rows,
                      lambda r: (1 << r) + 1, lambda r: r,
                      lambda r: (1 << (3 * r)) - (1 << r), lambda r: 3 * r - 1),
 }

@@ -27,8 +27,9 @@ exact Fraction is built once, for the accepted k.
 `verify_witness` recomputes a witness two ways: replaying the closed forms
 through `chartab.stats.compose`, and, when the expression is small enough,
 counting the explicit product table from its factor tables, as
-`chartab.stats.product_stats` does, without building it.  Each factor's
-counts are remembered per process (never its table).  Disagreement
+`chartab.stats.product_stats` does, without building it or any factor
+table: each factor's rows are counted as `chartab.tables.stream_table`
+makes them, and its counts are remembered per process.  Disagreement
 raises.
 """
 
@@ -58,11 +59,11 @@ from chartab.tables import (
     Extraspecial2,
     FamilySpec,
     Psl2Even,
-    build_table,
     count_past,
     log2_floor,
     spec_class_count,
     spec_to_json,
+    stream_table,
 )
 
 K_GUARD = 10**7
@@ -523,12 +524,15 @@ class VerificationReport(Record):
 
 @lru_cache(maxsize=FACTOR_MEMO_SIZE)
 def _factor_counts(family: FamilySpec, character: str | None) -> Counts:
-    """`count_factor` of a family's table: all rows when character is None,
-    else the named row.  Remembered per process; the memo holds counts, at
-    most one triple per palette entry, never a table."""
-    t = build_table(family)
-    rows = t.rows if character is None else [t.rows[t.character_index(character)]]
-    return count_factor(t, rows)
+    """`count_factor` of a family's row stream (`stream_table`): all rows
+    when character is None, else the named row, where the stream stops, so
+    a few rows are held at a time, never the table.  Remembered per
+    process; the memo holds counts, at most one triple per palette entry."""
+    head, pairs = stream_table(family)
+    if character is None:
+        return count_factor(head, (row for _, row in pairs))
+    head.character_index(character)  # an unknown name raises here
+    return count_factor(head, [next(row for name, row in pairs if name == character)])
 
 
 def verify_witness(w: Witness) -> VerificationReport:
@@ -544,10 +548,11 @@ def verify_witness(w: Witness) -> VerificationReport:
     product table from the factor tables (`count_factor`, then
     `fold_counts`): every product value is computed and classified exactly,
     so no multiplicativity is assumed, but the product table is never
-    built.  Each factor's counts are remembered per process, keyed by
-    family and character, so a long-lived process builds each factor table
-    once.  A factor of at most `VERIFY_CLASS_LIMIT` classes is far below
-    the class guard, which its generator checks when it is built.
+    built, nor is a factor table: its rows are counted as its stream makes
+    them (`_factor_counts`).  Each factor's counts are remembered per
+    process, keyed by family and character, so a long-lived process
+    generates each factor once.  A factor of at most `VERIFY_CLASS_LIMIT`
+    classes is far below the class guard, which its stream checks first.
     Any disagreement with the stored value raises; path (b) reports which
     guard fired when skipped.
     """

@@ -26,6 +26,7 @@ def _samples():
         Cyclotomic.zeta(8, 3),
         tables.ClassInfo("1a", 1, 1),
         table,
+        tables.stream_table(Dihedral(2))[0],
         Dihedral(3),
         Extraspecial2(3),
         Psl2Even(2),
@@ -51,8 +52,8 @@ def _samples():
 
 SAMPLES = _samples()
 RECORDS = [cls for cls in SAMPLES if cls is not Cyclotomic]
-# a table holds Cyclotomic values, and class data a dict and sets
-UNHASHABLE = {tables.CharacterTable, oracle.ClassData}
+# a table and its head hold Cyclotomic values, and class data a dict and sets
+UNHASHABLE = {tables.CharacterTable, tables.TableHead, oracle.ClassData}
 
 
 def _rebuilt(record, cls=None):
@@ -63,7 +64,7 @@ def _rebuilt(record, cls=None):
 def test_every_record_class_has_a_sample():
     package = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("chartab.")}
     assert package == set(SAMPLES)
-    assert len(SAMPLES) == 22
+    assert len(SAMPLES) == 23
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)

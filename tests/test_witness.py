@@ -1,16 +1,38 @@
 """Witness searches: frozen small cases, band membership, minimality, tamper checks."""
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from chartab import tables, witness
 from chartab.cli import main
-from chartab.stats import StatKind, char_stats, group_stats, render_decimal
-from chartab.tables import Dihedral, Extraspecial2, Product, Psl2Even, build_table
+from chartab.stats import (
+    StatKind,
+    char_stats,
+    closed_form_stats,
+    count_factor,
+    group_stats,
+    render_decimal,
+)
+from chartab.tables import (
+    Dihedral,
+    Extraspecial2,
+    MalformedTableError,
+    Product,
+    Psl2Even,
+    TableTooLargeError,
+    build_table,
+    stream_table,
+)
 from chartab.witness import (
     Scope,
     VerificationReport,
@@ -458,11 +480,99 @@ def test_verify_builds_a_shared_factor_once(monkeypatch):
 
     def counting(spec):
         built.append(spec)
-        return build_table(spec)
+        return stream_table(spec)
 
-    monkeypatch.setattr(witness, "build_table", counting)
+    monkeypatch.setattr(witness, "stream_table", counting)
     assert [verify_witness(w) for w in ws] == cold
     assert built == [Extraspecial2(4)]
+
+
+# ---------------------------------------------------------------------------
+# factor counts from the row streams against the tables they replaced
+
+# every factor size the witness pool checks
+STREAMED = [
+    *(Dihedral(n) for n in range(1, 12)),
+    *(Extraspecial2(n) for n in range(1, 5)),
+    *(Psl2Even(r) for r in range(1, 9)),
+]
+
+
+def _by_key(counts):
+    """Counts with their entries summed per `Cyclotomic.key()`: a stream's
+    palette may hold a value twice where the collected table holds it once."""
+    pairs, cells, entries = counts
+    merged = {}
+    for v, n, m in entries:
+        slot = merged.setdefault(v.key(), [0, 0])
+        slot[0] += n
+        slot[1] += m
+    return pairs, cells, {key: tuple(slot) for key, slot in merged.items()}
+
+
+@pytest.mark.parametrize("spec", STREAMED, ids=repr)
+def test_streamed_factor_counts_match_the_table(spec):
+    t = build_table(spec)
+    count = witness._factor_counts.__wrapped__
+    assert _by_key(count(spec, None)) == _by_key(count_factor(t, t.rows))
+    # every named character of the small tables, the distinguished one of all
+    names = t.character_names if t.num_classes <= 65 else [closed_form_stats(spec).character_name]
+    for name in filter(None, names):
+        want = count_factor(t, [t.rows[t.character_index(name)]])
+        assert _by_key(count(spec, name)) == _by_key(want), name
+    with pytest.raises(MalformedTableError, match="no character named 'nope'"):
+        count(spec, "nope")
+
+
+@pytest.mark.parametrize("spec", [Dihedral(10**9), Extraspecial2(10**9), Psl2Even(10**9)], ids=repr)
+def test_the_stream_entry_refuses_an_oversized_family_at_once(spec):
+    with pytest.raises(TableTooLargeError) as built:
+        build_table(spec)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableTooLargeError) as streamed:
+            stream_table(spec)  # the call raises: no row is asked for
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(streamed.value) == str(built.value)
+    assert peak < 100_000
+
+
+# Run in a fresh interpreter, so the peak RSS it reads is this count's alone.
+# Prints the growth of ru_maxrss (KiB on Linux) over the cold count, and
+# what verify_witness reports for the grid witness that counts that factor.
+STREAM_RSS_SCRIPT = r"""
+import json, resource
+from fractions import Fraction
+from chartab import witness
+from chartab.stats import StatKind
+from chartab.tables import Dihedral
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+witness._factor_counts(Dihedral(12), None)
+grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+w = witness.witness_global(StatKind.THETA_CLASS, 0, Fraction(1, 100))
+report = witness.verify_witness(w)
+print(json.dumps({
+    "grew_kib": grew,
+    "factors": [[repr(f.family), f.character, f.power] for f in w.factors],
+    "checked": report.table_value == w.value,
+}))
+"""
+
+
+def test_a_cold_factor_count_never_holds_the_table():
+    # the whole Dihedral(12) table raised ru_maxrss by about 34.6 MB
+    env = dict(os.environ, PYTHONPATH=str(Path(tables.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", STREAM_RSS_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["factors"] == [["Dihedral(n=12)", None, 1]]
+    assert report["checked"]
+    assert report["grew_kib"] < 8 * 1024
 
 
 # ---------------------------------------------------------------------------
