@@ -36,6 +36,7 @@ from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import repeat
 from math import gcd
 from operator import itemgetter
 
@@ -139,13 +140,15 @@ def _record(z_elem, z_class, u_elem, u_class) -> StatRecord:
     return StatRecord(Fraction(z_elem), Fraction(z_class), Fraction(u_elem), Fraction(u_class))
 
 
-def _histogram(t: CharacterTable | TableHead, rows) -> list[tuple[Cyclotomic, int, int]]:
+def _histogram(t: CharacterTable | TableHead, weighted) -> list[tuple[Cyclotomic, int, int]]:
     """(value, cells, class-size sum) per palette entry the rows use, in
-    palette order, in one pass over any iterable of index rows.
+    palette order, in one pass over any iterable of (index row, weight)
+    pairs, a row of weight w counted as w rows.
 
     The columns of one class size (two to four per family, each one run; a
     product has more) are one gather of every row, counted into the size's
-    `Counter` row by row, in C: Python never works per cell."""
+    `Counter` row by row, in C: Python never works per cell.  A heavier row
+    adds its gather's own `Counter` times its weight."""
     by_size: dict[int, list[int]] = {}
     for j, c in enumerate(t.classes):
         by_size.setdefault(c.size, []).append(j)
@@ -155,9 +158,10 @@ def _histogram(t: CharacterTable | TableHead, rows) -> list[tuple[Cyclotomic, in
          Counter(), size)
         for size, js in by_size.items()
     ]
-    for row in rows:
+    for row, w in weighted:
         for gather, counter, _ in gathers:
-            counter.update(gather(row))
+            values = gather(row)
+            counter.update(values if w == 1 else {x: w * n for x, n in Counter(values).items()})
     cells = [0] * len(t.palette)
     elems = [0] * len(t.palette)
     for _, counter, size in gathers:
@@ -174,7 +178,13 @@ def count_factor(t: CharacterTable | TableHead, rows: Iterable[Sequence[int]]) -
     """One factor of `product_stats`: (pairs, cells, entries), entries the
     `_histogram` of a table's or a stream's rows, pairs and cells its sums
     (|G| and the class count per row).  It keeps no table and no row."""
-    entries = tuple(_histogram(t, rows))
+    return count_weighted(t, zip(rows, repeat(1)))
+
+
+def count_weighted(t: CharacterTable | TableHead, weighted: Iterable[tuple]) -> Counts:
+    """`count_factor` of (index row, weight) pairs, a row of weight w as w
+    rows, such as a row stream's orbit reading (`tables.stream_table`)."""
+    entries = tuple(_histogram(t, weighted))
     return sum(m for _, _, m in entries), sum(n for _, n, _ in entries), entries
 
 

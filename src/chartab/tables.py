@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from collections.abc import Callable, Iterator, Sequence
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
@@ -84,8 +84,8 @@ class ClassInfo(Record):
 
 
 class TableHead(Record):
-    """A table without its rows.  A row stream (`stream_table`) is a head
-    and its (character name, index row) pairs, indexing ``palette``."""
+    """A table without its rows.  A row stream (`stream_table`) is a head, its
+    (name, index row) pairs, indexing ``palette``, and its orbit reading."""
 
     group_name: str
     group_order: int
@@ -100,7 +100,8 @@ class TableHead(Record):
         raise MalformedTableError(f"{self.group_name}: no character named {name!r}")
 
 
-TableStream = tuple[TableHead, Iterator[tuple[str, tuple[int, ...]]]]
+Row = tuple[int, ...]
+TableStream = tuple[TableHead, Iterator[tuple[str, Row]], Iterator[tuple[Row, int]]]
 
 
 class CharacterTable(Record):
@@ -325,9 +326,10 @@ def check_table_guard(spec: FamilySpec) -> None:
 
 
 def stream_table(spec: FamilySpec) -> TableStream:
-    """A single family's table head and a lazy stream of its (character
-    name, index row) pairs, which holds a row only until the rows made from
-    it are made.  The class guard runs before this returns."""
+    """A single family's table head, a lazy stream of its (character name,
+    index row) pairs, which holds a row only until the rows made from it are
+    made, and its lazy orbit reading, (index row, weight) pairs, one cosine
+    row per unit orbit (`_cosine_rows`).  The class guard runs first."""
     family, value = single_family(spec)
     return family.stream(value)
 
@@ -348,7 +350,7 @@ def build_table(spec: FamilySpec) -> CharacterTable:
         for f in spec.factors[1:]:
             table = product_table(table, build_table(f))
         return table
-    head, pairs = stream_table(spec)
+    head, pairs, _ = stream_table(spec)
     rows = dict(pairs)
     return CharacterTable(
         head.group_name, head.group_order, head.classes, head.character_names,
@@ -377,51 +379,71 @@ def trivial_table() -> CharacterTable:
 
 
 def _cosine_rows(
-    conductor: int, sign: int, palette: list[Cyclotomic], columns: Sequence[int], tail: tuple
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The pairs ``(h, row h)`` for ``h = 1 .. (c - 1) // 2``, ``c =
-    conductor``, in walk order: row ``h`` holds ``sign * (zeta_c**(h*k) +
+    conductor: int, sign: int, palette: list[Cyclotomic], columns: Sequence[int],
+    sizes: Sequence[int], tail: tuple,
+) -> tuple[Iterator[tuple[int, Row]], Iterator[tuple[Row, int]]]:
+    """Two lazy readings of the rows ``h = 1 .. (c - 1) // 2``, ``c =
+    conductor``: pairs ``(h, row h)`` in walk order, and the orbit reading,
+    pairs ``(row d, weight)``, one per ``d = gcd(h, c)``, weighted by how
+    many ``h`` share it.  Row ``h`` holds ``sign * (zeta_c**(h*k) +
     zeta_c**(-h*k))`` on each residue ``k`` of ``columns`` (``0 .. c // 2``
     in some order; residue 0 may be left out when ``c`` is prime, as no
-    gather reaches it), then the indices ``tail``.  Row 1's values join
-    ``palette`` in column order before the call returns, so row 1 is a run.
+    gather reaches it), of class sizes ``sizes``, then the indices
+    ``tail``.  Row 1's values join ``palette`` in column order before the
+    call returns, so row 1 is a run.
 
     Every other row is one gather and no Python step per cell: row ``h``
     depends on ``h`` up to sign mod ``c``, so row ``m*h`` is row ``h`` read
-    at the column of ``+-m*k`` for each ``k``, the tail in place; one
-    `itemgetter` per multiplier ``m`` is built once.  The multipliers are the
-    unit generators and the primes of ``c``.  Every ``h`` is ``gcd(h, c)``
-    times a unit, so a walk from row 1 by units, then primes, reaches row
-    ``h``; each row ``x`` on the way has ``gcd(x, c)`` dividing ``gcd(h,
-    c)``, so it is neither 0 nor ``c / 2`` when ``0 < 2h < c``.  A row is
-    passed on once its gathers have run, breadth-first: at most 10 of 1023
-    rows wait for conductor 2048 (338 depth-first), 288 of 2047 for 4095.
+    at the column of ``+-m*k`` for each ``k``, the tail in place.  The walk
+    builds one `itemgetter` per multiplier ``m``: the unit generators and
+    the primes of ``c``.  Every ``h`` is ``gcd(h, c)`` times a unit, so a walk
+    from row 1 by units, then primes, reaches row ``h``; each row ``x`` on
+    the way has ``gcd(x, c)`` dividing ``gcd(h, c)``, so it is neither 0 nor
+    ``c / 2`` when ``0 < 2h < c``.  A row is passed on once its gathers have
+    run, breadth-first: at most 10 of 1023 rows wait for conductor 2048
+    (338 depth-first), 288 of 2047 for 4095.
+
+    Orbits: write ``h = d*u``, ``u`` a unit mod ``c`` (a unit mod ``c / d``
+    lifts to one).  Row ``h`` is row ``d``, one gather of row 1, read through
+    ``k -> +-u*k``.  Where each unit generator's map permutes the columns
+    and keeps class sizes, so every unit's does, row ``h`` has row ``d``'s
+    cells per class size, all a whole-table count reads.  Else every walk
+    row comes with weight 1.
     """
     c = conductor
     start = len(palette)
     palette.extend(canonicalize(c, {k: sign, -k: sign} if k else {0: 2 * sign}) for k in columns)
     column = {k: j for j, k in enumerate(columns)}
     fixed = range(len(columns), len(columns) + len(tail))
-    # 0 and +-1 reach no new row
-    steps = {min(g % c, -g % c) for g in (*unit_generators(c), *factorize(c))} - {0, 1}
-    gathers = [
-        (m, itemgetter(*[column[min(m * k % c, -m * k % c)] for k in columns], *fixed))
-        for m in steps
-    ]
+    first = tuple(range(start, start + len(columns))) + tail
+
+    def gather(m: int) -> itemgetter:
+        return itemgetter(*[column[min(m * k % c, -m * k % c)] for k in columns], *fixed)
 
     def walk():
-        first = tuple(range(start, start + len(columns))) + tail
+        # 0 and +-1 reach no new row
+        steps = {min(g % c, -g % c) for g in (*unit_generators(c), *factorize(c))} - {0, 1}
+        gathers = [(m, gather(m)) for m in steps]
         reached, waiting = {1}, deque([(1, first)] if c > 2 else ())  # no row when c <= 2
         while waiting:
             h, row = waiting.popleft()
-            for m, gather in gathers:
+            for m, gather_m in gathers:
                 x = min(m * h % c, -m * h % c)
                 if 0 < 2 * x < c and x not in reached:
                     reached.add(x)
-                    waiting.append((x, gather(row)))
+                    waiting.append((x, gather_m(row)))
             yield h, row
 
-    return walk()
+    def orbits():
+        for g in unit_generators(c):  # they generate every unit
+            to = [column.get(min(g * k % c, -g * k % c)) for k in columns]
+            if set(to) != set(column.values()) or any(sizes[j] != s for j, s in zip(to, sizes)):
+                yield from ((row, 1) for _, row in walk())
+                return
+        for d, weight in Counter(gcd(h, c) for h in range(1, (c - 1) // 2 + 1)).items():
+            yield (first if d == 1 else gather(d)(first)), weight
+
+    return walk(), orbits()
 
 
 def dihedral_rows(n: int) -> TableStream:
@@ -468,11 +490,13 @@ def dihedral_rows(n: int) -> TableStream:
     # e = rot / 4 gives the reflections' zero.  Row rot1 meets the cosines
     # first, in class order, so that order builds the palette canonical (n >= 2).
     zero = len(palette) + rot_exponents.index(rot // 4)
-    planar = _cosine_rows(rot, 1, palette, rot_exponents, (zero, zero))
+    sizes = [cls.size for cls in classes[: len(rot_exponents)]]
+    planar, orbits = _cosine_rows(rot, 1, palette, rot_exponents, sizes, (zero, zero))
     names = (*names, *(f"rot{h}" for h in range(1, half)))
 
     head = TableHead(f"dihedral({n})", order, tuple(classes), names, tuple(palette))
-    return head, chain(zip(names, rows), ((f"rot{h}", row) for h, row in planar))
+    pairs = chain(zip(names, rows), ((f"rot{h}", row) for h, row in planar))
+    return head, pairs, chain(zip(rows, repeat(1)), orbits)
 
 
 def extraspecial2_rows(n: int) -> TableStream:
@@ -516,16 +540,16 @@ def extraspecial2_rows(n: int) -> TableStream:
     signs, flips = [(ONE,)], [(NEG,)]
     for _ in range(n):
         signs, flips = double(signs, flips), double(flips, signs)
-    # (s, f)[ONE] is s and (s, f)[NEG] is f
-    linear = (
-        (ONE,) + tuple(chain.from_iterable(map(pair.__getitem__, u)))
-        for u in signs for pair in zip(signs, flips)
-    )
-    faithful = (DEG, NEG_DEG) + (ZERO,) * (2**dim - 1)
-    names = (*(f"lin{w:0{dim}b}" for w in range(2**dim)), "faithful")
 
+    def rows():  # the linear rows, then the faithful one
+        for u in signs:
+            for pair in zip(signs, flips):  # (s, f)[ONE] is s and (s, f)[NEG] is f
+                yield (ONE,) + tuple(chain.from_iterable(map(pair.__getitem__, u)))
+        yield (DEG, NEG_DEG) + (ZERO,) * (2**dim - 1)
+
+    names = (*(f"lin{w:0{dim}b}" for w in range(2**dim)), "faithful")
     head = TableHead(f"extraspecial2({n})", 2 ** (2 * n + 1), tuple(classes), names, palette)
-    return head, zip(names, chain(linear, [faithful]))
+    return head, zip(names, rows()), zip(rows(), repeat(1))
 
 
 def psl2_even_rows(r: int) -> TableStream:
@@ -565,9 +589,11 @@ def psl2_even_rows(r: int) -> TableStream:
         # reaches it, so its value 2 * sign stays out of the palette
         zero = (0,) if c > 1 and not is_prime(c) else ()
         columns = (*range(1, count + 1), *zero)
-        cosines = _cosine_rows(c, sign, palette, columns, ())
+        sizes = [cls.size for cls in classes[len(left) :][:count]] + [0] * len(zero)
+        cosines, orbits = _cosine_rows(c, sign, palette, columns, sizes, ())
         names.extend(f"{name}{h}" for h in range(1, count + 1))
-        return ((f"{name}{h}", left + row[:count] + right) for h, row in cosines)
+        weighted = ((left + row[:count] + right, weight) for row, weight in orbits)
+        return ((f"{name}{h}", left + row[:count] + right) for h, row in cosines), weighted
 
     principal = series(q - 1, 1, n_split, "principal", (PRINCIPAL, ONE), (ZERO,) * n_nonsplit)
     DISCRETE = len(palette)
@@ -575,7 +601,8 @@ def psl2_even_rows(r: int) -> TableStream:
     discrete = series(q + 1, -1, n_nonsplit, "discrete", (DISCRETE, NEG) + (ZERO,) * n_split, ())
 
     head = TableHead(f"psl2even({r})", order, tuple(classes), tuple(names), tuple(palette))
-    return head, chain(zip(names[:2], rows), principal, discrete)
+    pairs = chain(zip(names[:2], rows), principal[0], discrete[0])
+    return head, pairs, chain(zip(rows, repeat(1)), principal[1], discrete[1])
 
 
 def dihedral_table(n: int) -> CharacterTable:

@@ -28,9 +28,9 @@ exact Fraction is built once, for the accepted k.
 through `chartab.stats.compose`, and, when the expression is small enough,
 counting the explicit product table from its factor tables, as
 `chartab.stats.product_stats` does, without building it or any factor
-table: each factor's rows are counted as `chartab.tables.stream_table`
-makes them, and its counts are remembered per process.  Disagreement
-raises.
+table: each factor is counted off its row stream (`stream_table`), a
+whole factor at one cosine row per unit orbit, and its counts are
+remembered per process.  Disagreement raises.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from chartab.stats import (
     closed_form_stats,
     compose,
     count_factor,
+    count_weighted,
     fold_counts,
     render_decimal,
     series,
@@ -524,13 +525,14 @@ class VerificationReport(Record):
 
 @lru_cache(maxsize=FACTOR_MEMO_SIZE)
 def _factor_counts(family: FamilySpec, character: str | None) -> Counts:
-    """`count_factor` of a family's row stream (`stream_table`): all rows
-    when character is None, else the named row, where the stream stops, so
-    a few rows are held at a time, never the table.  Remembered per
-    process; the memo holds counts, at most one triple per palette entry."""
-    head, pairs = stream_table(family)
+    """The counts of a family's row stream (`stream_table`): all rows when
+    character is None, off its orbit reading (`count_weighted`), else the
+    named row, where the stream stops, so a few rows are held at a time,
+    never the table.  Remembered per process; the memo holds counts, at
+    most one triple per palette entry."""
+    head, pairs, orbits = stream_table(family)
     if character is None:
-        return count_factor(head, (row for _, row in pairs))
+        return count_weighted(head, orbits)
     head.character_index(character)  # an unknown name raises here
     return count_factor(head, [next(row for name, row in pairs if name == character)])
 
@@ -548,10 +550,10 @@ def verify_witness(w: Witness) -> VerificationReport:
     product table from the factor tables (`count_factor`, then
     `fold_counts`): every product value is computed and classified exactly,
     so no multiplicativity is assumed, but the product table is never
-    built, nor is a factor table: its rows are counted as its stream makes
-    them (`_factor_counts`).  Each factor's counts are remembered per
-    process, keyed by family and character, so a long-lived process
-    generates each factor once.  A factor of at most `VERIFY_CLASS_LIMIT`
+    built, nor is a factor table: it is counted off its row stream, a whole
+    factor at one cosine row per unit orbit (`_factor_counts`).  Counts are
+    remembered per process, keyed by family and character, so a long-lived
+    process generates each factor once.  A factor of at most `VERIFY_CLASS_LIMIT`
     classes is far below the class guard, which its stream checks first.
     Any disagreement with the stored value raises; path (b) reports which
     guard fired when skipped.

@@ -7,6 +7,7 @@ into C builtins; every fast pass must give the very same result.
 from __future__ import annotations
 
 import sys
+from itertools import repeat
 
 import pytest
 from cell_reference import (
@@ -109,9 +110,14 @@ def test_histogram_matches_the_reference(spec):
     t = spec() if callable(spec) else build_table(spec)
     one = [t.rows[t.character_index(NAMED_ROW.get(type(spec), t.character_names[-1]))]]
     for rows in (t.rows, one, []):
-        fast = _histogram(t, rows)
+        fast = _histogram(t, zip(rows, repeat(1)))
         slow = reference_histogram(t, rows)
         assert [(v.key(), n, m) for v, n, m in fast] == [(v.key(), n, m) for v, n, m in slow]
+    # a row of weight w counts as w copies of it
+    weighted = [(row, 1 + i % 3) for i, row in enumerate(t.rows)]
+    fast = _histogram(t, weighted)
+    slow = reference_histogram(t, [row for row, w in weighted for _ in range(w)])
+    assert [(v.key(), n, m) for v, n, m in fast] == [(v.key(), n, m) for v, n, m in slow]
 
 
 def _odd_names_table() -> CharacterTable:

@@ -9,17 +9,20 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from chartab import tables, witness
 from chartab.cli import main
+from chartab.exactnum import is_prime
 from chartab.stats import (
     StatKind,
     char_stats,
     closed_form_stats,
     count_factor,
+    count_weighted,
     group_stats,
     render_decimal,
 )
@@ -573,6 +576,84 @@ def test_a_cold_factor_count_never_holds_the_table():
     assert report["factors"] == [["Dihedral(n=12)", None, 1]]
     assert report["checked"]
     assert report["grew_kib"] < 8 * 1024
+
+
+# ---------------------------------------------------------------------------
+# the orbit reading (one cosine row per unit orbit) against every row
+
+ORBITS = [*(Dihedral(n) for n in range(1, 13)), *(Psl2Even(r) for r in range(1, 11))]
+
+
+def _cosine_layouts(spec):
+    """(conductor, columns, class sizes) of each cosine series of spec, as
+    its generator lays the series out over the head's classes."""
+    sizes = [c.size for c in stream_table(spec)[0].classes]
+    if isinstance(spec, Dihedral):
+        c, half = 2**spec.n, 2 ** (spec.n - 1)
+        return [(c, [0, half, *range(1, half)], sizes[: half + 1])]
+    q = 2**spec.r
+    layouts = []
+    for c, offset in ((q - 1, 2), (q + 1, q // 2 + 1)):  # principal, discrete
+        count = (c - 1) // 2
+        zero = [0] if c > 1 and not is_prime(c) else []  # in the gathers, not in the row
+        layouts.append((c, [*range(1, count + 1), *zero], sizes[offset:][:count] + [0] * len(zero)))
+    return layouts
+
+
+@pytest.mark.parametrize("spec", ORBITS, ids=repr)
+def test_orbit_counts_match_every_row(spec):
+    head, pairs, orbits = stream_table(spec)
+    every = count_factor(head, [row for _, row in pairs])
+    assert _by_key(count_weighted(head, orbits)) == _by_key(every)
+    assert _by_key(witness._factor_counts.__wrapped__(spec, None)) == _by_key(every)
+    for c, columns, sizes in _cosine_layouts(spec):
+        walk, orbits = tables._cosine_rows(c, 1, [], columns, sizes, ())
+        rows = {row for _, row in walk}
+        weighted = list(orbits)
+        # the units keep the layout: one row per gcd(h, c), each a row of the series
+        assert len(weighted) == len({gcd(h, c) for h in range(1, (c - 1) // 2 + 1)})
+        assert {row for row, _ in weighted} <= rows
+        assert sum(w for _, w in weighted) == (c - 1) // 2 == len(rows)
+
+
+def test_a_layout_the_units_break_counts_every_row():
+    # conductor 8: the unit 3 swaps residues 1 and 3, here of unequal class sizes
+    columns = [0, 4, 1, 2, 3]
+    walk, orbits = tables._cosine_rows(8, 1, [], columns, [1, 1, 2, 2, 5], ())
+    fallback = list(orbits)
+    assert fallback == [(row, 1) for _, row in walk] and len(fallback) == 3
+    _, orbits = tables._cosine_rows(8, 1, [], columns, [1, 1, 2, 2, 2], ())
+    assert [w for _, w in orbits] == [2, 1]  # rows 1 and 3, then row 2
+    # conductor 9: the unit 2 sends residue 4 (size 2) to 1 (size 1)
+    columns = [1, 2, 3, 4, 0]
+    walk, orbits = tables._cosine_rows(9, 1, [], columns, [1, 1, 1, 2, 0], ())
+    assert list(orbits) == [(row, 1) for _, row in walk]
+    _, orbits = tables._cosine_rows(9, 1, [], columns, [1, 1, 1, 1, 0], ())
+    assert [w for _, w in orbits] == [3, 1]  # rows 1, 2 and 4, then row 3
+
+
+def test_a_cold_whole_table_count_reads_one_row_per_orbit(monkeypatch):
+    read = {"pairs": 0, "orbits": 0}
+
+    def counted(name, items):
+        for item in items:
+            read[name] += 1
+            yield item
+
+    def streaming(spec):
+        head, pairs, orbits = stream_table(spec)
+        return head, counted("pairs", pairs), counted("orbits", orbits)
+
+    monkeypatch.setattr(witness, "stream_table", streaming)
+    w = witness_global(StatKind.THETA_CLASS, 0, HUNDREDTH)
+    assert [(f.family, f.character, f.power) for f in w.factors] == [(Dihedral(12), None, 1)]
+    witness._factor_counts.cache_clear()
+    try:
+        assert verify_witness(w).table_value == w.value
+    finally:
+        witness._factor_counts.cache_clear()
+    # 4 linear rows and one per gcd(h, 4096) = 1, 2, .., 1024: not 2,051 rows
+    assert read == {"pairs": 0, "orbits": 15}
 
 
 # ---------------------------------------------------------------------------
